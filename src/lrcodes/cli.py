@@ -73,6 +73,15 @@ def _expect(condition: bool, message: str) -> None:
         raise LrcError(f"bad code file: {message}")
 
 
+def _is_int(x: object) -> bool:
+    """JSON integers only: true/false load as bool, a subclass of int."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _field_ints(xs: object, q: int) -> bool:
+    return isinstance(xs, list) and all(_is_int(x) and 0 <= x < q for x in xs)
+
+
 def load_spec_file(path: str | Path) -> CodeSpec:
     """Load and structurally re-validate a code file.
 
@@ -82,9 +91,10 @@ def load_spec_file(path: str | Path) -> CodeSpec:
     """
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     _expect(isinstance(doc, dict), "top level is not an object")
-    _expect(doc.get("version") == SPEC_VERSION, f"unsupported version {doc.get('version')!r}")
+    version = doc.get("version")
+    _expect(_is_int(version) and version == SPEC_VERSION, f"unsupported version {version!r}")
     for key in ("q", "n", "k", "r", "s", "t", "m", "n_bar", "gamma"):
-        _expect(isinstance(doc.get(key), int), f"missing or non-integer field {key!r}")
+        _expect(_is_int(doc.get(key)), f"missing or non-integer field {key!r}")
     params = validate_params(doc["q"], doc["n"], doc["k"], doc["r"])
     stored = (doc["s"], doc["t"], doc["m"], doc["n_bar"])
     derived = (params.s, params.t, params.m_blocks, params.n_bar)
@@ -97,9 +107,8 @@ def load_spec_file(path: str | Path) -> CodeSpec:
     _expect(kind in (MULTIPLICATIVE, ADDITIVE), f"unknown subgroup kind {kind!r}")
     elements = sub.get("elements")
     _expect(
-        isinstance(elements, list)
+        _field_ints(elements, params.q)
         and len(elements) == params.r + 1
-        and all(isinstance(x, int) and 0 <= x < params.q for x in elements)
         and elements == sorted(set(elements)),
         "subgroup elements must be r+1 sorted distinct field elements",
     )
@@ -121,7 +130,7 @@ def load_spec_file(path: str | Path) -> CodeSpec:
     seen: set[int] = set()
     for b in blocks:
         _expect(
-            isinstance(b, list) and len(b) == params.r + 1 and b == sorted(set(b)),
+            _field_ints(b, params.q) and len(b) == params.r + 1 and b == sorted(set(b)),
             "each block must be r+1 sorted distinct elements",
         )
         _expect(not seen & set(b), "blocks are not disjoint")
@@ -129,7 +138,7 @@ def load_spec_file(path: str | Path) -> CodeSpec:
         seen.update(b)
     B = doc.get("B")
     _expect(
-        isinstance(B, list) and len(B) == params.t and B == sorted(set(B)),
+        _field_ints(B, params.q) and len(B) == params.t and B == sorted(set(B)),
         f"B must be {params.t} sorted distinct elements",
     )
     _expect(set(B) <= set(blocks[-1]), "B must lie inside the last block")
@@ -139,9 +148,8 @@ def load_spec_file(path: str | Path) -> CodeSpec:
 
     g_tilde = doc.get("g_tilde")
     _expect(
-        isinstance(g_tilde, list)
+        _field_ints(g_tilde, params.q)
         and len(g_tilde) == params.r + 2
-        and all(isinstance(c, int) and 0 <= c < params.q for c in g_tilde)
         and g_tilde[-1] != 0,
         "g_tilde must be a degree r+1 coefficient list",
     )
@@ -162,21 +170,22 @@ def load_spec_file(path: str | Path) -> CodeSpec:
     )
 
     h_B = doc.get("h_B")
-    _expect(h_B == poly_from_roots(F, B), "h_B does not match the annihilator of B")
+    _expect(
+        _field_ints(h_B, params.q) and h_B == poly_from_roots(F, B),
+        "h_B does not match the annihilator of B",
+    )
     eval_points = doc.get("eval_points")
     expected_points = sorted(x for b in blocks for x in b if x not in set(B))
-    _expect(eval_points == expected_points, "eval_points do not match blocks minus B")
+    _expect(
+        _field_ints(eval_points, params.q) and eval_points == expected_points,
+        "eval_points do not match blocks minus B",
+    )
 
     G = doc.get("generator_matrix")
     _expect(
         isinstance(G, list)
         and len(G) == params.k
-        and all(
-            isinstance(row, list)
-            and len(row) == params.n
-            and all(isinstance(x, int) and 0 <= x < params.q for x in row)
-            for row in G
-        ),
+        and all(_field_ints(row, params.q) and len(row) == params.n for row in G),
         "generator matrix must be k rows of n field elements",
     )
     return CodeSpec(
@@ -411,3 +420,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

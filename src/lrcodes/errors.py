@@ -13,6 +13,10 @@ class UnsupportedField(LrcError):
     """Field order is a prime power outside the supported range."""
 
 
+class NotAFieldElement(LrcError, ValueError):
+    """A symbol is not an int in [0, q) (bools are refused too)."""
+
+
 class DivisionByZero(LrcError, ZeroDivisionError):
     """Multiplicative inverse of zero requested."""
 

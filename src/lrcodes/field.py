@@ -6,15 +6,26 @@ extension fields.  Polynomials are lists of such ints, lowest degree
 first, with no trailing zeros; the zero polynomial is the empty list and
 its degree is the sentinel NEG_INF (so degree arithmetic stays honest:
 deg(a*b) = deg(a) + deg(b) holds for the sentinel too).
+
+Vector arithmetic lives here too: reduce_vec, add_vec, mul_vec, div_vec,
+isub_mul and matmul act on integer numpy arrays.  Prime fields compute
+in int64 and reduce mod p (every product of two residues below 2^16
+fits).  GF(2^e) gathers from log/antilog tables, built vectorised on the
+first vector op and cached per degree; the scalar methods never touch
+them.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence
+
+import numpy as np
 
 from .errors import (
     DivisionByZero,
     DuplicateAbscissa,
+    NotAFieldElement,
     NotAPrimePower,
     UnsupportedField,
 )
@@ -101,9 +112,10 @@ class Field:
         return hash(("Field", self.order))
 
     def check(self, a: int) -> int:
-        """Validate that *a* is a canonical element of this field."""
-        if not isinstance(a, int) or not 0 <= a < self.order:
-            raise ValueError(f"{a!r} is not an element of GF({self.order})")
+        """Validate that *a* is a canonical element of this field (an int,
+        not a bool, in [0, q))."""
+        if not isinstance(a, int) or isinstance(a, bool) or not 0 <= a < self.order:
+            raise NotAFieldElement(f"{a!r} is not an element of GF({self.order})")
         return a
 
     def elements(self) -> range:
@@ -165,6 +177,134 @@ class Field:
             base = self.mul(base, base)
             n >>= 1
         return acc
+
+    # -- vector arithmetic on integer numpy arrays ----------------------
+    #
+    # Inputs hold canonical elements unless a method says otherwise: a
+    # negative entry would index the log table from its end.  Shapes
+    # broadcast as in numpy.
+
+    def reduce_vec(self, a: np.ndarray) -> np.ndarray:
+        """A new array of the canonical elements congruent to the int64
+        array *a* (GF(2^e) entries are always canonical: this copies)."""
+        if self.extension_degree == 1:
+            return a % self.characteristic
+        return a.copy()
+
+    def add_vec(self, a, b) -> np.ndarray:
+        """Elementwise sum."""
+        if self.characteristic == 2:
+            return np.bitwise_xor(a, b)
+        return (np.asarray(a, dtype=np.int64) + b) % self.characteristic
+
+    def mul_vec(self, a, b) -> np.ndarray:
+        """Elementwise product."""
+        if self.extension_degree == 1:
+            return np.asarray(a, dtype=np.int64) * b % self.characteristic
+        log, exp = binary_log_tables(self.extension_degree)
+        return exp[log[a] + log[b]]
+
+    def div_vec(self, a: np.ndarray, b: int) -> np.ndarray:
+        """Every entry of the int64 array *a* divided by the scalar *b*.
+
+        GF(p) takes *a* unreduced too, as long as |a| * p < 2^63.  GF(2^e)
+        divides by log subtraction, skipping the scalar inverse's
+        exponentiation.
+        """
+        if self.extension_degree == 1:
+            return a * self.inv(b) % self.characteristic
+        if b == 0:
+            raise DivisionByZero(f"division by zero in GF({self.order})")
+        log, exp = binary_log_tables(self.extension_degree)
+        return exp[log[a] + (self.order - 1 - int(log[b]))]
+
+    def isub_mul(self, a: np.ndarray, b, c) -> None:
+        """a -= b*c in place, for canonical b and c: the row operation of
+        elimination.
+
+        GF(2^e) keeps *a* canonical.  GF(p) leaves it unreduced (each call
+        moves an entry by less than p^2 < 2^32), so elimination can reduce
+        once at the end with reduce_vec instead of after every step.
+        """
+        if self.extension_degree == 1:
+            a -= b * c
+        else:
+            np.bitwise_xor(a, self.mul_vec(b, c), out=a)
+
+    def matmul(self, A, B) -> np.ndarray:
+        """A @ B over the field for 2-D arrays, as an int64 array."""
+        A = np.asarray(A, dtype=np.int64)
+        B = np.asarray(B, dtype=np.int64)
+        if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
+            raise ValueError(f"cannot multiply shapes {A.shape} and {B.shape}")
+        if self.extension_degree == 1:
+            # K * (p-1)^2 stays below 2^63 for any inner size K < 2^31
+            return A @ B % self.characteristic
+        log, exp = binary_log_tables(self.extension_degree)
+        logs_a, logs_b = log[A], log[B]
+        out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
+        for i in range(A.shape[1]):
+            out ^= exp[logs_a[:, i, None] + logs_b[None, i, :]]
+        return out
+
+
+def _prime_factors(n: int) -> list[int]:
+    factors, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            factors.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        factors.append(n)
+    return factors
+
+
+def _times_scalar(a: np.ndarray, b: int, e: int, modulus: int) -> np.ndarray:
+    """Every entry of *a* times *b* in GF(2^e), bit-serially (table-free)."""
+    acc = np.zeros_like(a)
+    while b:
+        if b & 1:
+            acc ^= a
+        a = a << 1
+        a ^= (a >> e) * modulus
+        b >>= 1
+    return acc
+
+
+@lru_cache(maxsize=None)
+def binary_log_tables(e: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (log, exp) tables of GF(2^e) under its fixed modulus.
+
+    exp[i] = g^i for a generator g, repeated over [0, 2(q-1)) and zero
+    on [2(q-1), 4(q-1)].  log[0] = 2(q-1), so exp[log[a] + log[b]] is
+    the product a*b for every pair, zeros included, with no branch.
+    For GF(2^16) that is 256 KiB of int32 logs and 512 KiB of uint16.
+    """
+    F = Field(1 << e)
+    order = F.order - 1
+    # x is not primitive under every modulus (0x11B needs 3), so test orders
+    factors = _prime_factors(order)
+    g = next(
+        g for g in range(2, F.order) if all(F.pow(g, order // f) != 1 for f in factors)
+    )
+    exp = np.zeros(4 * order + 1, dtype=np.uint16)
+    exp[0] = 1
+    size, step = 1, g  # step is always g ** size
+    while size < order:
+        n = min(size, order - size)
+        # int32 leaves room for the shift in the bit-serial product
+        exp[size : size + n] = _times_scalar(exp[:n].astype(np.int32), step, e, F.modulus)
+        size += n
+        step = F.mul(step, step)
+    exp[order : 2 * order] = exp[:order]
+    log = np.empty(order + 1, dtype=np.int32)
+    log[exp[:order]] = np.arange(order, dtype=np.int32)
+    log[0] = 2 * order
+    log.flags.writeable = False
+    exp.flags.writeable = False
+    return log, exp
 
 
 # -- polynomials ------------------------------------------------------

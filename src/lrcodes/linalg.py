@@ -1,51 +1,67 @@
 """Dense linear algebra over a Field: elimination, rank, solve, nullspace.
 
-Matrices are lists of row lists of canonical field ints.  Everything here
-is exact; sizes stay small (at most a few hundred rows), so plain
-Gauss-Jordan with the first nonzero pivot is enough.
+Matrices come in and go out as lists of row lists of canonical field
+ints.  Everything here is exact.  Elimination runs on an int64 numpy
+copy with the field's vector kernels (Field.div_vec, Field.isub_mul):
+one vectorised Gauss-Jordan step per pivot over the columns from the
+pivot on.
+
+Over GF(p) the steps leave entries unreduced; only the pivot column is
+reduced when it is searched.  Each step moves an entry by less than
+p^2 < 2^32, and normalising a pivot row multiplies it by less than 2^16,
+so int64 stays exact while fewer than 2^15 steps pass between two
+reductions of the whole matrix; it is reduced every _REDUCE_EVERY steps
+and at the end.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from .field import Field
 
 Matrix = list[list[int]]
 
-
-def _copy(rows: Sequence[Sequence[int]]) -> Matrix:
-    return [list(r) for r in rows]
+_REDUCE_EVERY = 1 << 14
 
 
 def row_reduce(F: Field, rows: Sequence[Sequence[int]]) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and the list of pivot column indices."""
-    m = _copy(rows)
-    if not m:
-        return m, []
-    ncols = len(m[0])
+    if not rows:
+        return [], []
+    m = np.array(rows, dtype=np.int64)
+    nrows, ncols = m.shape
     pivots: list[int] = []
-    rank = 0
     for col in range(ncols):
-        pivot_row = None
-        for i in range(rank, len(m)):
-            if m[i][col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
+        rank = len(pivots)
+        factors = F.reduce_vec(m[:, col])
+        column = factors.tolist()
+        pivot_row = rank
+        while pivot_row < nrows and not column[pivot_row]:
+            pivot_row += 1
+        if pivot_row == nrows:
             continue
-        m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        inv = F.inv(m[rank][col])
-        m[rank] = [F.mul(inv, x) for x in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][col] != 0:
-                c = m[i][col]
-                m[i] = [F.sub(x, F.mul(c, y)) for x, y in zip(m[i], m[rank])]
+        # rows from rank down vanish (mod p) left of col, so only columns
+        # from col on change
+        block = m[:, col:]
+        pivot = F.div_vec(block[pivot_row], column[pivot_row])
+        if pivot_row != rank:
+            # the pivot is written to row rank below, so move that row
+            # down instead of swapping the two
+            block[pivot_row] = block[rank]
+            factors[pivot_row] = column[rank]
+        # a zero factor leaves its row as it is; updating every row in one
+        # slice beat gathering the nonzero ones on every system measured
+        F.isub_mul(block, factors[:, None], pivot)
+        block[rank] = pivot
         pivots.append(col)
-        rank += 1
-        if rank == len(m):
+        if rank + 1 == nrows:
             break
-    return m, pivots
+        if len(pivots) % _REDUCE_EVERY == 0:
+            m[:] = F.reduce_vec(m)
+    return F.reduce_vec(m).tolist(), pivots
 
 
 def rank(F: Field, rows: Sequence[Sequence[int]]) -> int:

@@ -94,11 +94,15 @@ def decode_erasures(spec: CodeSpec, received: Sequence[int | None]) -> list[int]
     Solves msg @ G = received on the known columns.  Succeeds for every
     pattern of at most d-1 erasures; raises Unrecoverable when the
     surviving columns no longer pin the message down (or contradict it).
+    Every known symbol must be a field element (NotAFieldElement
+    otherwise), since the elimination kernels index tables with them.
     """
     p = spec.params
     if len(received) != p.n:
         raise LengthMismatch(f"received word length {len(received)} != n = {p.n}")
     known = [j for j, v in enumerate(received) if v is not ERASED]
+    for j in known:
+        spec.field.check(received[j])
     # rows of the transposed restricted system: one equation per known column
     augmented = [[spec.G[row][j] for row in range(p.k)] + [received[j]] for j in known]
     reduced, pivots = row_reduce(spec.field, augmented)

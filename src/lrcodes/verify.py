@@ -5,6 +5,11 @@ the whole message space, locality from dual vectors of the generator
 matrix, shortening from interpolation degree checks, erasure tolerance
 from exhaustive pattern decoding.  Enumeration is budget-gated; a
 report is either complete or the run aborts with BudgetExceeded.
+
+Codeword batches are computed with the field's numpy kernels
+(Field.matmul, Field.add_vec): prime fields reduce int64 products mod
+p, binary fields gather from log/antilog tables of O(q) size, so no
+object here grows with q^2.
 """
 
 from __future__ import annotations
@@ -57,24 +62,6 @@ def matrix_rank(F: Field, rows: Sequence[Sequence[int]]) -> int:
 # -- distance by exhaustive enumeration --------------------------------
 
 
-def _scaled_rows(F: Field, row: Sequence[int]) -> np.ndarray:
-    """q x n table of v * row for every scalar v, as the numpy kernels need."""
-    q = F.order
-    out = np.empty((q, len(row)), dtype=np.int64)
-    for v in range(q):
-        out[v] = [F.mul(v, x) for x in row]
-    return out
-
-
-def _combine(F: Field, scaled: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """All sums s + t over the rows of both tables, (|scaled|*|table|) x n."""
-    if F.characteristic == 2:
-        merged = scaled[:, None, :] ^ table[None, :, :]
-    else:
-        merged = (scaled[:, None, :] + table[None, :, :]) % F.characteristic
-    return merged.reshape(-1, scaled.shape[1])
-
-
 def brute_force_distance(
     spec: CodeSpec, budget: int, chunk_cap: int = DEFAULT_CHUNK_CAP
 ) -> int:
@@ -99,35 +86,25 @@ def minimum_weight_word(
     total = q**k
     if total > budget:
         raise BudgetExceeded(f"distance search needs budget >= {total} (q^k), got {budget}")
-    scaled = [_scaled_rows(F, row) for row in spec.G]
+    G = np.array(spec.G, dtype=np.int64)
     # digits 0..low-1 go into the in-memory table, the rest are walked
     low = 0
     while low < k and q ** (low + 1) <= max(chunk_cap, q):
         low += 1
-    table = np.zeros((1, n), dtype=np.int64)
-    for d in range(low):
-        table = _combine(F, scaled[d], table)
+    # row i of the table encodes the message whose digit d is (i // q^d) % q
+    low_msgs = np.arange(q**low)[:, None] // q ** np.arange(low) % q
+    table = F.matmul(low_msgs, G[:low])
     best_w, best_m = n + 1, None
     high_digits = [0] * (k - low)
     while True:
-        base = np.zeros(n, dtype=np.int64)
-        for d, v in enumerate(high_digits):
-            if v:
-                row = scaled[low + d][v]
-                base = (base ^ row) if F.characteristic == 2 else (base + row) % F.characteristic
-        chunk = _combine(F, base[None, :], table)
-        weights = np.count_nonzero(chunk, axis=1)
+        base = F.matmul(np.array([high_digits], dtype=np.int64), G[low:])
+        weights = np.count_nonzero(F.add_vec(base, table), axis=1)
         if not any(high_digits):
             weights[0] = n + 1  # the all-zero message does not count
         i = int(weights.argmin())
         if weights[i] < best_w:
             best_w = int(weights[i])
-            digits = []
-            rest = i
-            for _ in range(low):
-                digits.append(rest % q)
-                rest //= q
-            best_m = digits + list(high_digits)
+            best_m = low_msgs[i].tolist() + list(high_digits)
         # odometer over the high digits
         d = 0
         while d < len(high_digits):
@@ -264,20 +241,6 @@ def parent_word_ok(spec: CodeSpec, word: Sequence[int]) -> bool:
     return True
 
 
-def _matmul(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """A @ B over F for small nonnegative-int arrays."""
-    if F.characteristic != 2:
-        return (A.astype(np.int64) @ B.astype(np.int64)) % F.characteristic
-    q = F.order
-    mul_table = np.empty((q, q), dtype=np.int64)
-    for a in range(q):
-        mul_table[a] = [F.mul(a, b) for b in range(q)]
-    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
-    for i in range(A.shape[1]):
-        out ^= mul_table[A[:, i][:, None], B[i, :][None, :]]
-    return out
-
-
 def verify_shortening(spec: CodeSpec, trials: int, seed: int = 0) -> bool:
     """Check *trials* random messages embed into the parent code: their
     extended words vanish on the dropped points and interpolate to a
@@ -294,11 +257,11 @@ def verify_shortening(spec: CodeSpec, trials: int, seed: int = 0) -> bool:
     msgs = np.array(
         [[rng.randrange(p.q) for _ in range(p.k)] for _ in range(trials)], dtype=np.int64
     )
-    words = _matmul(F, msgs, np.array(parent_G, dtype=np.int64))
+    words = F.matmul(msgs, parent_G)
     if b_idx and np.count_nonzero(words[:, b_idx]):
         return False
     check = np.array(_lagrange_coeff_rows(F, points, cap + 1), dtype=np.int64)
-    if check.size and np.count_nonzero(_matmul(F, words, check.T)):
+    if check.size and np.count_nonzero(F.matmul(words, check.T)):
         return False
     return True
 

@@ -1,6 +1,10 @@
 """Command-line behavior, the JSON format, and its loader's validation."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -86,6 +90,37 @@ def test_load_rejects_corruption(tmp_path, code_file):
     for mutate in cases:
         with pytest.raises(LrcError):
             load_spec_file(corrupted(mutate))
+
+
+def test_load_rejects_json_booleans(tmp_path, code_file, capsys):
+    # JSON true loads as a bool, which isinstance(..., int) would accept
+    for mutate in (
+        lambda d: d["generator_matrix"][0].__setitem__(0, True),
+        lambda d: d["subgroup"]["elements"].__setitem__(0, True),
+        lambda d: d.update(version=True),
+    ):
+        doc = json.loads(code_file.read_text())
+        mutate(doc)
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps(doc))
+        assert "true" in path.read_text()
+        with pytest.raises(LrcError):
+            load_spec_file(path)
+        assert main(["encode", "--spec", str(path), "0", "0", "0", "0", "1"]) == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("module", ["lrcodes", "lrcodes.cli"])
+def test_python_dash_m_runs_the_cli(module):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "bounds", "--n", "62", "--k", "40", "--r", "7"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["rate_bound_holds"] is True
 
 
 def test_encode_command(capsys, code_file):

@@ -17,6 +17,7 @@ from lrcodes.errors import (
     LengthMismatch,
     LrcError,
     NoSubgroup,
+    NotAFieldElement,
     RateBoundViolated,
     SEqualsOne,
 )
@@ -115,6 +116,12 @@ def test_assemble_top_slot_hits_degree_cap(ref_spec):
     f = assemble_polynomial([0, 1, 0, 0, 0], ref_spec)
     assert f == [3, 0, 0, 0, 8, 0, 0, 0, 1]
     assert poly_degree(f) == 8
+
+
+def test_encode_rejects_bool_and_out_of_range(ref_spec):
+    for msg in ([True, 0, 0, 0, 0], [0, 0, 0, 0, 13], [0, -1, 0, 0, 0]):
+        with pytest.raises(NotAFieldElement):
+            encode(msg, ref_spec)
 
 
 def test_assemble_rejects_wrong_length(ref_spec):

@@ -1,0 +1,193 @@
+"""Vector field kernels against the scalar Field methods, over every
+supported binary degree and a spread of prime fields."""
+
+import random
+
+import numpy as np
+import pytest
+
+from lrcodes.errors import DivisionByZero
+from lrcodes.field import _IRREDUCIBLE, Field, binary_log_tables
+from lrcodes import linalg
+from lrcodes.linalg import row_reduce
+
+ORDERS = [1 << e for e in range(2, 17)] + [2, 3, 13, 257, 65521]
+
+
+def _pairs(q, count, seed):
+    """Seeded operand arrays with zeros forced into about one pair in eight."""
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, q, count)
+    b = rng.integers(0, q, count)
+    a[::8] = 0
+    b[3::8] = 0
+    a[-1] = b[-1] = 0
+    return a, b
+
+
+def _scalar_gauss_jordan(F, rows):
+    """Textbook reduced row echelon form with scalar Field calls only."""
+    m = [list(r) for r in rows]
+    pivots, rank = [], 0
+    for col in range(len(m[0]) if m else 0):
+        pivot_row = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if pivot_row is None:
+            continue
+        m[rank], m[pivot_row] = m[pivot_row], m[rank]
+        inv = F.inv(m[rank][col])
+        m[rank] = [F.mul(inv, x) for x in m[rank]]
+        for i in range(len(m)):
+            if i != rank and m[i][col]:
+                c = m[i][col]
+                m[i] = [F.sub(x, F.mul(c, y)) for x, y in zip(m[i], m[rank])]
+        pivots.append(col)
+        rank += 1
+    return m, pivots
+
+
+def _scalar_matmul(F, A, B):
+    out = [[0] * len(B[0]) if B else [] for _ in A]
+    for i, row in enumerate(A):
+        for j in range(len(out[i])):
+            acc = 0
+            for k, a in enumerate(row):
+                acc = F.add(acc, F.mul(a, B[k][j]))
+            out[i][j] = acc
+    return out
+
+
+@pytest.mark.parametrize("e", range(2, 17))
+def test_exp_table_is_a_permutation(e):
+    q = 1 << e
+    log, exp = binary_log_tables(e)
+    assert sorted(exp[: q - 1].tolist()) == list(range(1, q))
+    assert not exp.flags.writeable and not log.flags.writeable
+    # the tables never replace the modulus codewords depend on
+    assert Field(q).modulus == _IRREDUCIBLE[e]
+    F = Field(q)
+    assert F.mul(int(exp[1]), int(exp[q - 2])) == 1
+
+
+@pytest.mark.parametrize("e", [*range(2, 11), 14])
+def test_generator_is_the_smallest_primitive_element(e):
+    # x = 2 is not primitive under every modulus: 0x11B needs 3, degrees 9 and 14 need 7
+    F = Field(1 << e)
+
+    def order(g):
+        x, n = g, 1
+        while x != 1:
+            x, n = F.mul(x, g), n + 1
+        return n
+
+    smallest = next(g for g in range(2, F.order) if order(g) == F.order - 1)
+    assert binary_log_tables(e)[1][1] == smallest
+    assert smallest == {8: 3, 9: 7, 14: 7}.get(e, 2)
+
+
+def test_gf65536_tables_fit_in_a_mebibyte():
+    log, exp = binary_log_tables(16)
+    assert log.nbytes + exp.nbytes <= 1 << 20
+
+
+@pytest.mark.parametrize("q", ORDERS)
+def test_mul_div_add_vec_match_scalar(q):
+    F = Field(q)
+    a, b = _pairs(q, 2000, seed=q)
+    got = F.mul_vec(a, b)
+    assert got.tolist() == [F.mul(int(x), int(y)) for x, y in zip(a, b)]
+    assert F.add_vec(a, b).tolist() == [F.add(int(x), int(y)) for x, y in zip(a, b)]
+    c = int(b[b != 0][0])
+    c_inv = F.inv(c)
+    assert F.div_vec(a, c).tolist() == [F.mul(int(x), c_inv) for x in a]
+    # prime fields leave isub_mul unreduced; reduce_vec makes it canonical
+    acc = a.copy()
+    F.isub_mul(acc, b, c)
+    assert F.reduce_vec(acc).tolist() == [F.sub(int(x), F.mul(int(y), c)) for x, y in zip(a, b)]
+    with pytest.raises(DivisionByZero):
+        F.div_vec(a, 0)
+
+
+@pytest.mark.parametrize("q", [3, 65521, 256])
+def test_unreduced_isub_mul_chain(q):
+    # elimination chains isub_mul over many pivots before reducing, and
+    # normalises unreduced rows with div_vec
+    F = Field(q)
+    a, b = _pairs(q, 200, seed=7)
+    acc, want = a.copy(), a.tolist()
+    for step in range(300):
+        c = (step * 7919) % q
+        F.isub_mul(acc, b, c)
+        want = [F.sub(x, F.mul(int(y), c)) for x, y in zip(want, b)]
+    assert F.reduce_vec(acc).tolist() == want
+    c_inv = F.inv(q - 1)
+    assert F.reduce_vec(F.div_vec(acc, q - 1)).tolist() == [F.mul(x, c_inv) for x in want]
+
+
+def test_reduce_vec():
+    assert Field(13).reduce_vec(np.array([-1, 13, 27, 5])).tolist() == [12, 0, 1, 5]
+    a = np.array([0, 7, 255])
+    out = Field(256).reduce_vec(a)
+    assert out.tolist() == [0, 7, 255] and out is not a
+
+
+def test_mul_vec_broadcasts():
+    F = Field(256)
+    col = np.arange(256)[:, None]
+    row = np.array([0, 1, 2, 0x53, 255])
+    table = F.mul_vec(col, row)
+    assert table.shape == (256, 5)
+    assert table[0x53, 3] == F.mul(0x53, 0x53)
+    assert (table[:, 1] == np.arange(256)).all()
+
+
+@pytest.mark.parametrize("q", ORDERS)
+def test_matmul_matches_triple_loop(q):
+    F = Field(q)
+    rng = random.Random(q)
+    for rows, inner, cols in [(3, 4, 5), (1, 1, 1), (0, 3, 2), (2, 0, 3), (4, 2, 0)]:
+        A = [[rng.randrange(q) for _ in range(inner)] for _ in range(rows)]
+        B = [[rng.randrange(q) for _ in range(cols)] for _ in range(inner)]
+        got = F.matmul(np.array(A, dtype=np.int64).reshape(rows, inner),
+                       np.array(B, dtype=np.int64).reshape(inner, cols))
+        assert got.shape == (rows, cols)
+        if inner:
+            assert got.tolist() == _scalar_matmul(F, A, B)
+        else:
+            assert not got.any()
+    with pytest.raises(ValueError):
+        F.matmul(np.zeros((2, 3), dtype=np.int64), np.zeros((2, 3), dtype=np.int64))
+
+
+@pytest.mark.parametrize("q", ORDERS)
+def test_row_reduce_matches_scalar_gauss_jordan(q):
+    F = Field(q)
+    rng = random.Random(q + 1)
+    # pivots found below their row, zero rows and zero columns
+    sparse = [[0, 1, 2, 3], [0, 0, 1, 1], [0, 0, 0, 0], [1, 0, 0, 2], [0, 0, 0, 0]]
+    cases = [[], [[]], [[0, 0, 0]], [[0] * 4 for _ in range(3)]]
+    cases.append([[x % q for x in r] for r in sparse])
+    for _ in range(4):
+        nrows, ncols, rank = rng.randrange(1, 8), rng.randrange(1, 8), rng.randrange(0, 5)
+        basis = np.array([[rng.randrange(q) for _ in range(ncols)] for _ in range(rank)],
+                         dtype=np.int64).reshape(rank, ncols)
+        coef = np.array([[rng.randrange(q) for _ in range(rank)] for _ in range(nrows)],
+                        dtype=np.int64).reshape(nrows, rank)
+        rows = F.matmul(coef, basis).tolist()  # rank-deficient when rank < nrows
+        rows.insert(rng.randrange(nrows + 1), [0] * ncols)  # an all-zero row
+        cases.append(rows)
+        cases.append([[rng.randrange(q) for _ in range(ncols)] for _ in range(nrows)])
+    for rows in cases:
+        got = row_reduce(F, rows)
+        assert got == _scalar_gauss_jordan(F, rows)
+        assert all(type(x) is int for row in got[0] for x in row)
+
+
+def test_row_reduce_with_frequent_whole_matrix_reduction(monkeypatch):
+    # GF(p) elimination reduces the whole matrix every _REDUCE_EVERY pivots
+    monkeypatch.setattr(linalg, "_REDUCE_EVERY", 2)
+    rng = random.Random(11)
+    for q in (13, 65521, 256):
+        F = Field(q)
+        rows = [[rng.randrange(q) for _ in range(9)] for _ in range(7)]
+        rows.append([F.add(x, y) for x, y in zip(rows[0], rows[1])])  # rank-deficient
+        assert row_reduce(F, rows) == _scalar_gauss_jordan(F, rows)

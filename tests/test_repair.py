@@ -10,6 +10,7 @@ from lrcodes.errors import (
     DuplicateAbscissa,
     IndexOutOfRange,
     LengthMismatch,
+    NotAFieldElement,
     Unrecoverable,
 )
 from lrcodes.repair import (
@@ -130,6 +131,25 @@ def test_decode_rejects_non_codeword(ref_spec):
     cw[0] = (cw[0] + 1) % 13
     with pytest.raises(Unrecoverable):
         decode_erasures(ref_spec, cw)
+
+
+@pytest.mark.parametrize("bad", [-1, 13, True, 2.0, "3"])
+def test_decode_rejects_non_field_symbols(ref_spec, bad):
+    # a negative symbol would otherwise index a log table from its end
+    received = apply_erasures(encode([1, 2, 3, 4, 5], ref_spec), erasure_pattern(ref_spec, [2]))
+    received[4] = bad
+    with pytest.raises(NotAFieldElement):
+        decode_erasures(ref_spec, received)
+
+
+def test_decode_rejects_non_field_symbols_binary():
+    spec = build_code(validate_params(16, 10, 5, 3))
+    received = encode([1, 2, 3, 4, 5], spec)
+    received[0] = None
+    for bad in (-1, 16):
+        received[1] = bad
+        with pytest.raises(NotAFieldElement):
+            decode_erasures(spec, received)
 
 
 def test_decode_length_check(ref_spec):

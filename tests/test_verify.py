@@ -1,6 +1,7 @@
 """The brute-force oracles themselves, checked against slower re-derivations."""
 
 import random
+import time
 from itertools import product
 
 import pytest
@@ -162,3 +163,14 @@ def test_run_verification_report(ref_spec):
 def test_run_verification_budget_preflight(ref_spec):
     with pytest.raises(BudgetExceeded):
         run_verification(ref_spec, budget=100)
+
+
+def test_verify_k1_gf65536_needs_no_q_squared_table():
+    # k = 1 passes the q^k budget at q = 2^16; a q x q multiply table would need 32 GiB
+    spec = build_code(validate_params(65536, 6, 1, 3))
+    start = time.perf_counter()
+    report = run_verification(spec, budget=5_000_000)
+    elapsed = time.perf_counter() - start
+    assert report.all_ok
+    assert report.distance_found == 6
+    assert elapsed < 5.0
