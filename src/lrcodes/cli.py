@@ -3,6 +3,13 @@
 Exit codes: 0 success, 2 invalid input or parameters, 3 verification or
 decoding failure.  All symbol I/O is space-separated decimal integers;
 "?" marks an erased coordinate in decode input.
+
+A code file stores (q, n, k, r), everything the construction derives
+from them, and the generator matrix G.  Loading rebuilds the code from
+(q, n, k, r) and refuses a file whose derived fields differ from the
+rebuild; G is kept as stored, and encode (msg . G) and decode both use
+it, so the two cannot disagree.  The verify command checks G against
+the construction's polynomials.
 """
 
 from __future__ import annotations
@@ -10,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
@@ -20,17 +28,9 @@ from .bounds import (
     rate_bound_holds,
     singleton_like_bound,
 )
-from .construction import (
-    CodeSpec,
-    build_code,
-    encode,
-    message_layout,
-    validate_params,
-)
+from .construction import CodeSpec, build_code, encode, validate_params
 from .errors import LrcError, Unrecoverable
-from .field import Field, poly_eval, poly_from_roots, poly_sub
-from .goodpoly import ADDITIVE, MULTIPLICATIVE, GoodPolynomial, PartitionSpec, SubgroupSpec
-from .repair import decode_erasures, locate_group, repair_local
+from .repair import decode_erasures, repair_group_values, repair_local
 from .verify import run_verification
 
 SPEC_VERSION = 1
@@ -83,122 +83,38 @@ def _field_ints(xs: object, q: int) -> bool:
 
 
 def load_spec_file(path: str | Path) -> CodeSpec:
-    """Load and structurally re-validate a code file.
+    """Load a code file by rebuilding its code from (q, n, k, r).
 
-    Everything about the partition and the polynomials is re-checked;
-    the generator matrix is only shape-checked here, so that the verify
-    command can report (rather than refuse to load) a tampered matrix.
+    Every stored field but the generator matrix must equal the rebuilt
+    one as JSON text, so types count too (true is not 1).  The generator
+    matrix is shape- and field-checked, then kept as stored, so that the
+    verify command can report (rather than refuse to load) a tampered
+    matrix.
     """
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     _expect(isinstance(doc, dict), "top level is not an object")
     version = doc.get("version")
     _expect(_is_int(version) and version == SPEC_VERSION, f"unsupported version {version!r}")
-    for key in ("q", "n", "k", "r", "s", "t", "m", "n_bar", "gamma"):
+    for key in ("q", "n", "k", "r"):
         _expect(_is_int(doc.get(key)), f"missing or non-integer field {key!r}")
-    params = validate_params(doc["q"], doc["n"], doc["k"], doc["r"])
-    stored = (doc["s"], doc["t"], doc["m"], doc["n_bar"])
-    derived = (params.s, params.t, params.m_blocks, params.n_bar)
-    _expect(stored == derived, f"derived quantities {stored} do not match {derived}")
-    F = Field(params.q)
-
-    sub = doc.get("subgroup")
-    _expect(isinstance(sub, dict), "missing subgroup")
-    kind = sub.get("kind")
-    _expect(kind in (MULTIPLICATIVE, ADDITIVE), f"unknown subgroup kind {kind!r}")
-    elements = sub.get("elements")
-    _expect(
-        _field_ints(elements, params.q)
-        and len(elements) == params.r + 1
-        and elements == sorted(set(elements)),
-        "subgroup elements must be r+1 sorted distinct field elements",
-    )
-    op = F.mul if kind == MULTIPLICATIVE else F.add
-    if kind == MULTIPLICATIVE:
-        _expect(0 not in elements, "0 cannot lie in a multiplicative subgroup")
-    elem_set = set(elements)
-    _expect(
-        all(op(a, b) in elem_set for a in elements for b in elements),
-        "subgroup elements are not closed under the group operation",
-    )
-    subgroup = SubgroupSpec(kind, tuple(elements), params.r + 1)
-
-    blocks = doc.get("blocks")
-    _expect(
-        isinstance(blocks, list) and len(blocks) == params.m_blocks,
-        f"expected {params.m_blocks} blocks",
-    )
-    seen: set[int] = set()
-    for b in blocks:
-        _expect(
-            _field_ints(b, params.q) and len(b) == params.r + 1 and b == sorted(set(b)),
-            "each block must be r+1 sorted distinct elements",
-        )
-        _expect(not seen & set(b), "blocks are not disjoint")
-        _expect(set(op(b[0], h) for h in elements) == set(b), f"block {b} is not a coset")
-        seen.update(b)
-    B = doc.get("B")
-    _expect(
-        _field_ints(B, params.q) and len(B) == params.t and B == sorted(set(B)),
-        f"B must be {params.t} sorted distinct elements",
-    )
-    _expect(set(B) <= set(blocks[-1]), "B must lie inside the last block")
-    partition = PartitionSpec(
-        tuple(tuple(b) for b in blocks), tuple(B), n_bar=params.n_bar
-    )
-
-    g_tilde = doc.get("g_tilde")
-    _expect(
-        _field_ints(g_tilde, params.q)
-        and len(g_tilde) == params.r + 2
-        and g_tilde[-1] != 0,
-        "g_tilde must be a degree r+1 coefficient list",
-    )
-    gamma = doc["gamma"]
-    _expect(0 <= gamma < params.q, "gamma out of range")
-    block_values = []
-    for b in blocks:
-        vals = {poly_eval(F, g_tilde, x) for x in b}
-        _expect(len(vals) == 1, f"g_tilde is not constant on block {b}")
-        block_values.append(vals.pop())
-    _expect(block_values[-1] == 0, "g_tilde does not vanish on the last block")
-    g_raw = poly_sub(F, g_tilde, [F.neg(gamma)])
-    good = GoodPolynomial(
-        g_raw=tuple(g_raw),
-        gamma=gamma,
-        g_tilde=tuple(g_tilde),
-        block_values=tuple(block_values),
-    )
-
-    h_B = doc.get("h_B")
-    _expect(
-        _field_ints(h_B, params.q) and h_B == poly_from_roots(F, B),
-        "h_B does not match the annihilator of B",
-    )
-    eval_points = doc.get("eval_points")
-    expected_points = sorted(x for b in blocks for x in b if x not in set(B))
-    _expect(
-        _field_ints(eval_points, params.q) and eval_points == expected_points,
-        "eval_points do not match blocks minus B",
-    )
-
+    q, n, k, r = doc["q"], doc["n"], doc["k"], doc["r"]
+    # checked before the rebuild, so that the rebuilt G is no larger than the file's
     G = doc.get("generator_matrix")
     _expect(
         isinstance(G, list)
-        and len(G) == params.k
-        and all(_field_ints(row, params.q) and len(row) == params.n for row in G),
+        and len(G) == k
+        and all(_field_ints(row, q) and len(row) == n for row in G),
         "generator matrix must be k rows of n field elements",
     )
-    return CodeSpec(
-        params=params,
-        field=F,
-        subgroup=subgroup,
-        partition=partition,
-        good=good,
-        h_B=tuple(h_B),
-        eval_points=tuple(eval_points),
-        layout=message_layout(params),
-        G=tuple(tuple(row) for row in G),
-    )
+    spec = build_code(validate_params(q, n, k, r))
+    rebuilt = spec_to_dict(spec)
+    del rebuilt["generator_matrix"]
+    for key, value in rebuilt.items():
+        _expect(
+            json.dumps(doc.get(key), sort_keys=True) == json.dumps(value, sort_keys=True),
+            f"{key!r} does not match the code built from (q, n, k, r) = {(q, n, k, r)}",
+        )
+    return replace(spec, G=tuple(tuple(row) for row in G))
 
 
 # -- symbol parsing -----------------------------------------------------
@@ -276,8 +192,6 @@ def cmd_construct(args: argparse.Namespace) -> int:
 def cmd_encode(args: argparse.Namespace) -> int:
     spec = load_spec_file(args.spec)
     msg = _parse_symbols(_gather_tokens(args), spec.params.q)
-    if len(msg) != spec.params.k:
-        raise LrcError(f"message has {len(msg)} symbols, expected k = {spec.params.k}")
     print(" ".join(str(x) for x in encode(msg, spec)))
     return 0
 
@@ -289,15 +203,7 @@ def cmd_repair(args: argparse.Namespace) -> int:
     if len(word) != p.n:
         raise LrcError(f"codeword has {len(word)} symbols, expected n = {p.n}")
     i = args.index
-    g_idx, helpers, zeros = locate_group(spec, i)
-    pos = {alpha: j for j, alpha in enumerate(spec.eval_points)}
-    pairs = []
-    for alpha in helpers:
-        v = word[pos[alpha]]
-        if v is None:
-            raise Unrecoverable(f"helper at point {alpha} is erased")
-        pairs.append((alpha, v))
-    pairs.extend((beta, 0) for beta in zeros)
+    g_idx, pairs = repair_group_values(spec, word, i)
     value = repair_local(spec, i, pairs)
     print(f"coordinate {i} (point {spec.eval_points[i - 1]}), repair group {g_idx}")
     print("helper values: " + " ".join(f"{a}={v}" for a, v in pairs))
@@ -320,6 +226,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     report = run_verification(spec, budget=args.budget, seed=args.seed)
     doc = {
         "rank_ok": report.rank_ok,
+        "generator_ok": report.generator_ok,
         "distance_found": report.distance_found,
         "distance_expected": report.distance_expected,
         "locality_ok": report.locality_ok,

@@ -6,6 +6,12 @@ Messages become polynomials built from powers of the block-constant
 polynomial g_tilde plus a correction term divisible by h_B, so that
 every codeword polynomial vanishes on the t dropped points B; the
 codeword is the value vector on the remaining n points.
+
+build_code evaluates that structure once, with the field's vector
+kernels, into the generator matrix G: one row per message slot.  encode
+is msg . G and nothing else; assemble_polynomial and extend_to_parent
+are the independent polynomial path that the verify module checks G
+and the shortening against.
 """
 
 from __future__ import annotations
@@ -13,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import ceil
 from typing import Sequence
+
+import numpy as np
 
 from .errors import (
     FieldTooSmall,
@@ -22,7 +30,17 @@ from .errors import (
     RateBoundViolated,
     SEqualsOne,
 )
-from .field import Field, poly_add, poly_eval, poly_from_roots, poly_mul, poly_scale, poly_shift
+from .field import (
+    Field,
+    poly_add,
+    poly_eval,
+    poly_eval_vec,
+    poly_from_roots,
+    poly_mul,
+    poly_scale,
+    poly_shift,
+    poly_trim,
+)
 from .goodpoly import (
     MULTIPLICATIVE,
     GoodPolynomial,
@@ -130,45 +148,38 @@ def message_layout(params: CodeParams) -> MessageLayout:
     return MessageLayout(a_slots=a_slots, b_count=b_count, S_values=S_values)
 
 
-def _assemble(
-    F: Field,
-    layout: MessageLayout,
-    g_tilde: Sequence[int],
-    h_B: Sequence[int],
-    msg: Sequence[int],
-) -> list[int]:
+def _check_message(msg: Sequence[int], spec: CodeSpec) -> None:
+    if len(msg) != spec.params.k:
+        raise LengthMismatch(f"message length {len(msg)} != k = {spec.params.k}")
+    for x in msg:
+        spec.field.check(x)
+
+
+def assemble_polynomial(msg: Sequence[int], spec: CodeSpec) -> list[int]:
+    """The codeword polynomial f of the message; deg f <= k' + ceil(k'/r) - 2.
+
+    This is the polynomial path that verify checks the stored G against.
+    """
+    _check_message(msg, spec)
+    F, layout = spec.field, spec.layout
     gt_powers: list[list[int]] = [[1]]
     max_j = max((j for _, j in layout.a_slots), default=0)
     for _ in range(max_j):
-        gt_powers.append(poly_mul(F, gt_powers[-1], g_tilde))
+        gt_powers.append(poly_mul(F, gt_powers[-1], spec.good.g_tilde))
     f: list[int] = []
     for (i, j), a in zip(layout.a_slots, msg):
         if a:
             f = poly_add(F, f, poly_shift(poly_scale(F, a, gt_powers[j]), i))
-    b_part = list(msg[len(layout.a_slots):])
-    while b_part and b_part[-1] == 0:
-        b_part.pop()
+    b_part = poly_trim(msg[len(layout.a_slots):])
     if b_part:
-        f = poly_add(F, f, poly_mul(F, h_B, b_part))
+        f = poly_add(F, f, poly_mul(F, spec.h_B, b_part))
     return f
 
 
-def assemble_polynomial(msg: Sequence[int], spec: CodeSpec) -> list[int]:
-    """The codeword polynomial f of the message; deg f <= k' + ceil(k'/r) - 2."""
-    p = spec.params
-    if len(msg) != p.k:
-        raise LengthMismatch(f"message length {len(msg)} != k = {p.k}")
-    F = spec.field
-    for x in msg:
-        F.check(x)
-    return _assemble(F, spec.layout, spec.good.g_tilde, spec.h_B, msg)
-
-
 def encode(msg: Sequence[int], spec: CodeSpec) -> list[int]:
-    """Values of the message's polynomial at the n evaluation points."""
-    f = assemble_polynomial(msg, spec)
-    F = spec.field
-    return [poly_eval(F, f, x) for x in spec.eval_points]
+    """The codeword msg . G."""
+    _check_message(msg, spec)
+    return spec.field.matmul([msg], spec.G)[0].tolist()
 
 
 def extend_to_parent(msg: Sequence[int], spec: CodeSpec) -> list[int]:
@@ -177,6 +188,31 @@ def extend_to_parent(msg: Sequence[int], spec: CodeSpec) -> list[int]:
     f = assemble_polynomial(msg, spec)
     F = spec.field
     return [poly_eval(F, f, x) for block in spec.partition.blocks for x in block]
+
+
+def _generator_matrix(
+    F: Field,
+    layout: MessageLayout,
+    g_tilde: Sequence[int],
+    h_B: Sequence[int],
+    eval_points: Sequence[int],
+) -> tuple[tuple[int, ...], ...]:
+    """One row per message slot, valued at the evaluation points x:
+    x^i * g_tilde(x)^j for a-slot (i, j), then x^b * h_B(x) for b-slot b."""
+    x = np.array(eval_points, dtype=np.int64)
+    max_i = max([i for i, _ in layout.a_slots] + [layout.b_count - 1])
+    max_j = max((j for _, j in layout.a_slots), default=0)
+    x_powers = [np.ones_like(x)]
+    for _ in range(max_i):
+        x_powers.append(F.mul_vec(x_powers[-1], x))
+    gt = poly_eval_vec(F, g_tilde, x)
+    gt_powers = [np.ones_like(x)]
+    for _ in range(max_j):
+        gt_powers.append(F.mul_vec(gt_powers[-1], gt))
+    hb = poly_eval_vec(F, h_B, x)
+    rows = [F.mul_vec(x_powers[i], gt_powers[j]) for i, j in layout.a_slots]
+    rows += [F.mul_vec(x_powers[b], hb) for b in range(layout.b_count)]
+    return tuple(tuple(row.tolist()) for row in rows)
 
 
 def build_code(params: CodeParams) -> CodeSpec:
@@ -194,12 +230,7 @@ def build_code(params: CodeParams) -> CodeSpec:
             f"evaluation set has {len(eval_points)} points, expected n = {params.n}"
         )
     layout = message_layout(params)
-    G = []
-    for row in range(params.k):
-        unit = [0] * params.k
-        unit[row] = 1
-        f = _assemble(F, layout, good.g_tilde, h_B, unit)
-        G.append(tuple(poly_eval(F, f, x) for x in eval_points))
+    G = _generator_matrix(F, layout, good.g_tilde, h_B, eval_points)
     if rank(F, G) != params.k:
         raise InternalInconsistency(f"generator matrix rank below k = {params.k}")
     return CodeSpec(
@@ -211,5 +242,5 @@ def build_code(params: CodeParams) -> CodeSpec:
         h_B=h_B,
         eval_points=eval_points,
         layout=layout,
-        G=tuple(G),
+        G=G,
     )

@@ -8,7 +8,8 @@ its degree is the sentinel NEG_INF (so degree arithmetic stays honest:
 deg(a*b) = deg(a) + deg(b) holds for the sentinel too).
 
 Vector arithmetic lives here too: reduce_vec, add_vec, mul_vec, div_vec,
-isub_mul and matmul act on integer numpy arrays.  Prime fields compute
+isub_mul and matmul act on integer numpy arrays, and poly_eval_vec
+evaluates a polynomial at an array of points.  Prime fields compute
 in int64 and reduce mod p (every product of two residues below 2^16
 fits).  GF(2^e) gathers from log/antilog tables, built vectorised on the
 first vector op and cached per degree; the scalar methods never touch
@@ -261,6 +262,16 @@ def _prime_factors(n: int) -> list[int]:
     return factors
 
 
+def smallest_primitive(F: Field) -> int:
+    """Smallest element generating the multiplicative group of F: the
+    first g with g^((q-1)/f) != 1 for every prime factor f of q-1."""
+    order = F.order - 1
+    factors = _prime_factors(order)
+    return next(
+        g for g in range(1, F.order) if all(F.pow(g, order // f) != 1 for f in factors)
+    )
+
+
 def _times_scalar(a: np.ndarray, b: int, e: int, modulus: int) -> np.ndarray:
     """Every entry of *a* times *b* in GF(2^e), bit-serially (table-free)."""
     acc = np.zeros_like(a)
@@ -284,11 +295,8 @@ def binary_log_tables(e: int) -> tuple[np.ndarray, np.ndarray]:
     """
     F = Field(1 << e)
     order = F.order - 1
-    # x is not primitive under every modulus (0x11B needs 3), so test orders
-    factors = _prime_factors(order)
-    g = next(
-        g for g in range(2, F.order) if all(F.pow(g, order // f) != 1 for f in factors)
-    )
+    # x is not primitive under every modulus (0x11B needs 3)
+    g = smallest_primitive(F)
     exp = np.zeros(4 * order + 1, dtype=np.uint16)
     exp[0] = 1
     size, step = 1, g  # step is always g ** size
@@ -372,6 +380,14 @@ def poly_eval(F: Field, p: Sequence[int], x: int) -> int:
     acc = 0
     for c in reversed(p):
         acc = F.add(F.mul(acc, x), c)
+    return acc
+
+
+def poly_eval_vec(F: Field, p: Sequence[int], xs: np.ndarray) -> np.ndarray:
+    """Horner evaluation of p at every entry of the array xs."""
+    acc = np.zeros(xs.shape, dtype=np.int64)
+    for c in reversed(p):
+        acc = F.add_vec(F.mul_vec(acc, xs), c)
     return acc
 
 

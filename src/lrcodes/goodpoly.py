@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import NoSubgroup, NotConstantOnBlocks, TooManyBlocks
-from .field import Field, poly_eval, poly_from_roots, poly_sub
+from .field import Field, poly_eval, poly_from_roots, poly_sub, smallest_primitive
 
 MULTIPLICATIVE = "multiplicative"
 ADDITIVE = "additive"
@@ -38,23 +38,8 @@ class PartitionSpec:
 
 @dataclass(frozen=True)
 class GoodPolynomial:
-    g_raw: tuple[int, ...]
     gamma: int
     g_tilde: tuple[int, ...]
-    block_values: tuple[int, ...]
-
-
-def smallest_primitive(F: Field) -> int:
-    """Smallest element generating the multiplicative group."""
-    target = F.order - 1
-    for a in range(2, F.order):
-        x, order = a, 1
-        while x != 1:
-            x = F.mul(x, a)
-            order += 1
-        if order == target:
-            return a
-    raise NoSubgroup(f"GF({F.order}) has no primitive element (impossible)")
 
 
 def find_subgroup(F: Field, size: int) -> SubgroupSpec:
@@ -144,19 +129,11 @@ def normalize_gamma(F: Field, g: Sequence[int], partition: PartitionSpec) -> Goo
 
     Verifies block-constancy by evaluating g at every point first.
     """
-    raw_values = []
     for block in partition.blocks:
         vals = {poly_eval(F, g, x) for x in block}
         if len(vals) != 1:
             raise NotConstantOnBlocks(
                 f"polynomial takes {len(vals)} distinct values on block {block}"
             )
-        raw_values.append(vals.pop())
-    gamma = raw_values[-1]
-    g_tilde = poly_sub(F, g, [gamma])
-    return GoodPolynomial(
-        g_raw=tuple(g),
-        gamma=gamma,
-        g_tilde=tuple(g_tilde),
-        block_values=tuple(F.sub(v, gamma) for v in raw_values),
-    )
+    gamma = vals.pop()  # the last block's value
+    return GoodPolynomial(gamma=gamma, g_tilde=tuple(poly_sub(F, g, [gamma])))

@@ -1,4 +1,4 @@
-"""Dense linear algebra over a Field: elimination, rank, solve, nullspace.
+"""Dense linear algebra over a Field: elimination, rank, nullspace.
 
 Matrices come in and go out as lists of row lists of canonical field
 ints.  Everything here is exact.  Elimination runs on an int64 numpy
@@ -69,26 +69,6 @@ def rank(F: Field, rows: Sequence[Sequence[int]]) -> int:
     return len(pivots)
 
 
-def solve(F: Field, rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> list[int] | None:
-    """One solution x of rows @ x = rhs, or None when the system is inconsistent.
-
-    With multiple solutions the free variables are set to zero.
-    """
-    if len(rows) != len(rhs):
-        raise ValueError("rhs length must match the row count")
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    augmented = [list(r) + [b] for r, b in zip(rows, rhs)]
-    reduced, pivots = row_reduce(F, augmented)
-    if ncols in pivots:
-        return None
-    x = [0] * ncols
-    for i, col in enumerate(pivots):
-        x[col] = reduced[i][ncols]
-    return x
-
-
 def nullspace(F: Field, rows: Sequence[Sequence[int]]) -> Matrix:
     """Basis of {x : rows @ x = 0}, one vector per list entry."""
     if not rows:
@@ -105,14 +85,3 @@ def nullspace(F: Field, rows: Sequence[Sequence[int]]) -> Matrix:
             v[col] = F.neg(reduced[i][f])
         basis.append(v)
     return basis
-
-
-def mat_vec(F: Field, rows: Sequence[Sequence[int]], x: Sequence[int]) -> list[int]:
-    out = []
-    for r in rows:
-        acc = 0
-        for a, b in zip(r, x):
-            if a and b:
-                acc = F.add(acc, F.mul(a, b))
-        out.append(acc)
-    return out

@@ -73,10 +73,13 @@ def repair_local(spec: CodeSpec, i: int, helper_values: Sequence[tuple[int, int]
     return interpolate_at(spec.field, helper_values, spec.eval_points[i - 1])
 
 
-def repair_coordinate(spec: CodeSpec, received: Sequence[int | None], i: int) -> int:
-    """Convenience wrapper: gather coordinate i's repair group values out
-    of a received word and run repair_local."""
-    _, helpers, zeros = locate_group(spec, i)
+def repair_group_values(
+    spec: CodeSpec, received: Sequence[int | None], i: int
+) -> tuple[int, list[tuple[int, int]]]:
+    """Coordinate i's 1-based repair group index and the r (point, value)
+    pairs repair_local takes: the helpers' values read from a received
+    word, then zeros at the group's dropped points."""
+    g_idx, helpers, zeros = locate_group(spec, i)
     point_to_idx = {alpha: j for j, alpha in enumerate(spec.eval_points)}
     pairs = []
     for alpha in helpers:
@@ -85,6 +88,12 @@ def repair_coordinate(spec: CodeSpec, received: Sequence[int | None], i: int) ->
             raise Unrecoverable(f"helper at point {alpha} is itself erased")
         pairs.append((alpha, v))
     pairs.extend((beta, 0) for beta in zeros)
+    return g_idx, pairs
+
+
+def repair_coordinate(spec: CodeSpec, received: Sequence[int | None], i: int) -> int:
+    """Repair coordinate i of a received word from its repair group."""
+    _, pairs = repair_group_values(spec, received, i)
     return repair_local(spec, i, pairs)
 
 

@@ -1,9 +1,10 @@
 """Independent brute-force oracles for every claim a built code makes.
 
-Nothing here trusts the construction: distance comes from enumerating
-the whole message space, locality from dual vectors of the generator
-matrix, shortening from interpolation degree checks, erasure tolerance
-from exhaustive pattern decoding.  Enumeration is budget-gated; a
+Nothing here trusts the construction: the stored generator matrix is
+compared with the construction's polynomials evaluated directly,
+distance comes from enumerating the whole message space, locality from
+dual vectors of the generator matrix, shortening from interpolation
+degree checks, erasure tolerance from exhaustive pattern decoding.  Enumeration is budget-gated; a
 report is either complete or the run aborts with BudgetExceeded.
 
 Codeword batches are computed with the field's numpy kernels
@@ -23,9 +24,9 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import predicted_distance
-from .construction import CodeSpec, encode, extend_to_parent
+from .construction import CodeSpec, assemble_polynomial, encode, extend_to_parent
 from .errors import BudgetExceeded, Unrecoverable
-from .field import Field, poly_mul, poly_scale
+from .field import Field, poly_eval_vec, poly_mul, poly_scale
 from .linalg import nullspace
 from .linalg import rank as _rank
 from .repair import apply_erasures, decode_erasures, erasure_pattern
@@ -36,6 +37,7 @@ DEFAULT_CHUNK_CAP = 1 << 16
 @dataclass(frozen=True)
 class VerificationReport:
     rank_ok: bool
+    generator_ok: bool
     distance_found: int
     distance_expected: int
     locality_ok: bool
@@ -47,6 +49,7 @@ class VerificationReport:
     def all_ok(self) -> bool:
         return (
             self.rank_ok
+            and self.generator_ok
             and self.locality_ok
             and self.shortening_ok
             and self.erasure_ok
@@ -54,9 +57,25 @@ class VerificationReport:
         )
 
 
-def matrix_rank(F: Field, rows: Sequence[Sequence[int]]) -> int:
-    """Rank over F by Gaussian elimination."""
-    return _rank(F, rows)
+# -- the stored generator matrix ---------------------------------------
+
+
+def generator_matches(spec: CodeSpec) -> bool:
+    """Whether each row of G is its unit message's codeword by the
+    polynomial path: assemble the polynomial, evaluate it at the n points.
+
+    encode and decode both use G, so a G that differs from the
+    construction round-trips cleanly; only this check sees it.
+    """
+    k = spec.params.k
+    points = np.array(spec.eval_points, dtype=np.int64)
+    for row, stored in enumerate(spec.G):
+        unit = [0] * k
+        unit[row] = 1
+        f = assemble_polynomial(unit, spec)
+        if poly_eval_vec(spec.field, f, points).tolist() != list(stored):
+            return False
+    return True
 
 
 # -- distance by exhaustive enumeration --------------------------------
@@ -307,7 +326,8 @@ def run_verification(
             f"erasure check needs budget >= {comb(p.n, d - 1)} patterns, got {budget}"
         )
     return VerificationReport(
-        rank_ok=matrix_rank(spec.field, spec.G) == p.k,
+        rank_ok=_rank(spec.field, spec.G) == p.k,
+        generator_ok=generator_matches(spec),
         distance_found=brute_force_distance(spec, budget),
         distance_expected=d,
         locality_ok=verify_locality(spec),

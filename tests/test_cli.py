@@ -1,16 +1,19 @@
 """Command-line behavior, the JSON format, and its loader's validation."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from lrcodes.cli import load_spec_file, main, spec_to_dict, write_spec_file
-from lrcodes.construction import build_code, validate_params
+from lrcodes.construction import assemble_polynomial, build_code, validate_params
 from lrcodes.errors import LrcError
+from lrcodes.field import poly_eval, poly_from_roots
 
 
 @pytest.fixture
@@ -67,6 +70,25 @@ def test_load_round_trip(code_file):
     assert loaded == built
 
 
+# sha256 of construct output, fixed when the generator matrix was still
+# built by assembling and evaluating one polynomial per row
+GOLDEN = {
+    (13, 10, 5, 3): "9bf416b4147f43dbc870fc802ce9c7ecfd41ae0f4a2913d48d50112bdaaf6527",
+    (16, 14, 5, 3): "74627109c8bc42d85632eda3b4c1ae3ecb5ec56ec3ee16424613a102c4b7093a",
+    (65536, 62, 40, 7): "64aa0ce300380c4b60b8e55d4c939e279c3df3f9420899d652be9ecd1dc7fc20",
+}
+
+
+@pytest.mark.parametrize("code", sorted(GOLDEN))
+def test_construct_output_is_golden(tmp_path, capsys, code):
+    path = tmp_path / "code.json"
+    q, n, k, r = map(str, code)
+    assert main(["construct", "--q", q, "--n", n, "--k", k, "--r", r, "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN[code]
+    assert load_spec_file(path) == build_code(validate_params(*code))
+
+
 def test_load_rejects_corruption(tmp_path, code_file):
     def corrupted(mutate):
         doc = json.loads(code_file.read_text())
@@ -90,6 +112,50 @@ def test_load_rejects_corruption(tmp_path, code_file):
     for mutate in cases:
         with pytest.raises(LrcError):
             load_spec_file(corrupted(mutate))
+
+
+def test_load_refuses_another_valid_dropped_set(tmp_path, capsys):
+    # B = {4, 6} is as valid a choice inside the last block (4, 6, 7, 9) as
+    # construct's {7, 9}; with h_B, eval_points and G made consistent, the
+    # file still differs from the rebuild and must not load
+    spec = build_code(validate_params(13, 10, 5, 3))
+    F = spec.field
+    B = (4, 6)
+    eval_points = tuple(sorted(set(x for b in spec.partition.blocks for x in b) - set(B)))
+    other = replace(
+        spec,
+        partition=replace(spec.partition, B=B),
+        h_B=tuple(poly_from_roots(F, B)),
+        eval_points=eval_points,
+    )
+    G = []
+    for row in range(5):
+        f = assemble_polynomial([int(i == row) for i in range(5)], other)
+        G.append(tuple(poly_eval(F, f, x) for x in eval_points))
+    path = tmp_path / "other_b.json"
+    write_spec_file(replace(other, G=tuple(G)), path)
+    assert main(["encode", "--spec", str(path), "0", "0", "0", "0", "1"]) == 2
+    assert "'B' does not match" in capsys.readouterr().err
+
+
+def test_row_scaled_generator_round_trips_but_fails_verify(tmp_path, capsys, code_file):
+    # encode and decode both use the stored G, so they agree with each
+    # other; only verify's generator check sees that G left the construction
+    doc = json.loads(code_file.read_text())
+    doc["generator_matrix"][0] = [2 * x % 13 for x in doc["generator_matrix"][0]]
+    bad = tmp_path / "scaled.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["encode", "--spec", str(bad), "1", "0", "0", "0", "0"]) == 0
+    word = capsys.readouterr().out.split()
+    for i in (0, 4, 8):
+        word[i] = "?"
+    assert main(["decode", "--spec", str(bad), *word]) == 0
+    assert capsys.readouterr().out.strip() == "1 0 0 0 0"
+    assert main(["verify", "--spec", str(bad)]) == 3
+    report = json.loads(capsys.readouterr().out)
+    assert report["generator_ok"] is False
+    assert report["rank_ok"] is True
+    assert report["all_ok"] is False
 
 
 def test_load_rejects_json_booleans(tmp_path, code_file, capsys):
@@ -165,6 +231,7 @@ def test_decode_unrecoverable_exit(capsys, code_file):
 def test_verify_command(capsys, code_file):
     assert main(["verify", "--spec", str(code_file)]) == 0
     doc = json.loads(capsys.readouterr().out)
+    assert doc["generator_ok"] is True
     assert doc["all_ok"] is True
     assert doc["distance_found"] == 4
 
@@ -177,6 +244,7 @@ def test_verify_detects_tampering(capsys, tmp_path, code_file):
     assert main(["verify", "--spec", str(bad)]) == 3
     report = json.loads(capsys.readouterr().out)
     assert report["rank_ok"] is False
+    assert report["generator_ok"] is False
     assert report["all_ok"] is False
 
 

@@ -14,12 +14,21 @@ from lrcodes.goodpoly import (
 )
 
 
+def _order(a, p):
+    # multiplicative order by walking the powers of a
+    x, order = a, 1
+    while x != 1:
+        x = x * a % p
+        order += 1
+    return order
+
+
 def test_smallest_primitive():
-    assert smallest_primitive(Field(13)) == 2
-    assert smallest_primitive(Field(17)) == 3
-    # exhaustive confirmation for GF(13): 2 generates all 12 nonzero elements
-    F = Field(13)
-    assert {F.pow(2, i) for i in range(12)} == set(range(1, 13))
+    for p, g in ((13, 2), (17, 3), (257, 3), (65521, 17)):
+        assert smallest_primitive(Field(p)) == g
+        # exhaustive confirmation: g has order p-1, every smaller candidate less
+        assert _order(g, p) == p - 1
+        assert all(_order(a, p) < p - 1 for a in range(2, g))
 
 
 def test_find_subgroup_multiplicative():
@@ -118,8 +127,8 @@ def test_normalize_gamma_reference():
     good = normalize_gamma(F, good_polynomial(F, H), partition)
     assert good.gamma == 9  # 4^4 = 256 = 9 mod 13
     assert good.g_tilde == (4, 0, 0, 0, 1)  # x^4 + 4
-    assert good.block_values == (5, 7, 0)
-    assert good.block_values[-1] == 0
+    block_values = [poly_eval(F, good.g_tilde, block[0]) for block in partition.blocks]
+    assert block_values == [5, 7, 0]
 
 
 def test_normalize_gamma_fixed_point():
@@ -129,7 +138,7 @@ def test_normalize_gamma_fixed_point():
     # the annihilator is already zero on H itself, the only (and last) block
     good = normalize_gamma(F, good_polynomial(F, H), partition)
     assert good.gamma == 0
-    assert good.g_tilde == good.g_raw
+    assert good.g_tilde == tuple(good_polynomial(F, H))
 
 
 def test_normalize_gamma_detects_non_coset_block():

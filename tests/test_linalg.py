@@ -2,10 +2,11 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from lrcodes.field import Field
-from lrcodes.linalg import mat_vec, nullspace, rank, row_reduce, solve
+from lrcodes.linalg import nullspace, rank, row_reduce
 
 
 def test_row_reduce_identity():
@@ -33,25 +34,17 @@ def test_vandermonde_rank(q):
 
 @pytest.mark.parametrize("q", [13, 16, 17])
 def test_solve_and_nullspace_random(q):
+    # every nullspace vector solves A x = 0, and rank + nullity = ncols
     F = Field(q)
     rng = random.Random(q * 7)
     for _ in range(60):
         nrows = rng.randrange(1, 6)
         ncols = rng.randrange(1, 6)
         A = [[rng.randrange(q) for _ in range(ncols)] for _ in range(nrows)]
-        x_true = [rng.randrange(q) for _ in range(ncols)]
-        b = mat_vec(F, A, x_true)
-        x = solve(F, A, b)
-        assert x is not None
-        assert mat_vec(F, A, x) == b
-        for v in nullspace(F, A):
-            assert mat_vec(F, A, v) == [0] * nrows
-        assert rank(F, A) + len(nullspace(F, A)) == ncols
-
-
-def test_solve_inconsistent_returns_none():
-    F = Field(13)
-    assert solve(F, [[1, 1], [2, 2]], [1, 3]) is None
+        basis = nullspace(F, A)
+        if basis:
+            assert not F.matmul(A, np.array(basis).T).any()
+        assert rank(F, A) + len(basis) == ncols
 
 
 def test_nullspace_of_full_rank_is_empty():

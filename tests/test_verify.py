@@ -12,9 +12,9 @@ from lrcodes.field import Field
 from lrcodes.verify import (
     brute_force_distance,
     exhaustive_erasure_test,
+    generator_matches,
     group_dual_vector,
     locality_holds,
-    matrix_rank,
     minimum_weight_word,
     parent_word_ok,
     repair_groups,
@@ -73,10 +73,12 @@ def test_minimum_weight_word_is_witness(ref_spec):
     assert sum(1 for v in cw if v) == 4
 
 
-def test_matrix_rank():
-    F = Field(13)
-    assert matrix_rank(F, [[1, 0], [0, 1]]) == 2
-    assert matrix_rank(F, [[1, 2, 3], [1, 2, 3], [0, 0, 1]]) == 2
+def test_generator_matches_the_polynomial_path(grid_specs):
+    # build_code's G, from pointwise powers, against the assembled polynomials
+    for p, spec in grid_specs:
+        assert generator_matches(spec)
+    for code in ((65536, 62, 40, 7), (65521, 118, 80, 4), (1024, 120, 60, 10)):
+        assert generator_matches(build_code(validate_params(*code)))
 
 
 def test_verify_locality_on_built_codes(grid_specs):
@@ -151,6 +153,7 @@ def test_exhaustive_erasure(ref_spec):
 def test_run_verification_report(ref_spec):
     report = run_verification(ref_spec, budget=5_000_000)
     assert report.rank_ok
+    assert report.generator_ok
     assert report.distance_found == 4
     assert report.distance_expected == 4
     assert report.locality_ok
