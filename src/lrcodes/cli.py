@@ -198,10 +198,7 @@ def cmd_encode(args: argparse.Namespace) -> int:
 
 def cmd_repair(args: argparse.Namespace) -> int:
     spec = load_spec_file(args.spec)
-    p = spec.params
-    word = _parse_symbols(_gather_tokens(args), p.q, allow_erased=True)
-    if len(word) != p.n:
-        raise LrcError(f"codeword has {len(word)} symbols, expected n = {p.n}")
+    word = _parse_symbols(_gather_tokens(args), spec.params.q, allow_erased=True)
     i = args.index
     g_idx, pairs = repair_group_values(spec, word, i)
     value = repair_local(spec, i, pairs)
@@ -213,10 +210,7 @@ def cmd_repair(args: argparse.Namespace) -> int:
 
 def cmd_decode(args: argparse.Namespace) -> int:
     spec = load_spec_file(args.spec)
-    p = spec.params
-    word = _parse_symbols(_gather_tokens(args), p.q, allow_erased=True)
-    if len(word) != p.n:
-        raise LrcError(f"received word has {len(word)} symbols, expected n = {p.n}")
+    word = _parse_symbols(_gather_tokens(args), spec.params.q, allow_erased=True)
     print(" ".join(str(x) for x in decode_erasures(spec, word)))
     return 0
 

@@ -425,20 +425,20 @@ def lagrange_interpolate(F: Field, points: Sequence[tuple[int, int]]) -> list[in
     return result
 
 
-def interpolate_at(F: Field, points: Sequence[tuple[int, int]], x0: int) -> int:
-    """Value at x0 of the interpolating polynomial, without building it."""
-    xs = [x for x, _ in points]
+def lagrange_weights(F: Field, xs: Sequence[int], x0: int) -> list[int]:
+    """The weights lam with sum_j lam[j] * f(xs[j]) = f(x0) for every
+    polynomial f of degree < len(xs): lam[j] = prod_{l != j} (x0 - x_l) / (x_j - x_l).
+
+    Raises DuplicateAbscissa when two points coincide.
+    """
     if len(set(xs)) != len(xs):
-        raise DuplicateAbscissa(f"repeated x coordinate in {xs}")
-    acc = 0
-    for i, (xi, yi) in enumerate(points):
-        if yi == 0:
-            continue
+        raise DuplicateAbscissa(f"repeated x coordinate in {list(xs)}")
+    weights = []
+    for xj in xs:
         num, den = 1, 1
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            num = F.mul(num, F.sub(x0, xj))
-            den = F.mul(den, F.sub(xi, xj))
-        acc = F.add(acc, F.mul(yi, F.div(num, den)))
-    return acc
+        for xl in xs:
+            if xl != xj:
+                num = F.mul(num, F.sub(x0, xl))
+                den = F.mul(den, F.sub(xj, xl))
+        weights.append(F.div(num, den))
+    return weights

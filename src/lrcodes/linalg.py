@@ -1,4 +1,4 @@
-"""Dense linear algebra over a Field: elimination, rank, nullspace.
+"""Dense linear algebra over a Field: elimination and rank.
 
 Matrices come in and go out as lists of row lists of canonical field
 ints.  Everything here is exact.  Elimination runs on an int64 numpy
@@ -67,21 +67,3 @@ def row_reduce(F: Field, rows: Sequence[Sequence[int]]) -> tuple[Matrix, list[in
 def rank(F: Field, rows: Sequence[Sequence[int]]) -> int:
     _, pivots = row_reduce(F, rows)
     return len(pivots)
-
-
-def nullspace(F: Field, rows: Sequence[Sequence[int]]) -> Matrix:
-    """Basis of {x : rows @ x = 0}, one vector per list entry."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    reduced, pivots = row_reduce(F, rows)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis: Matrix = []
-    for f in free:
-        v = [0] * ncols
-        v[f] = 1
-        for i, col in enumerate(pivots):
-            v[col] = F.neg(reduced[i][f])
-        basis.append(v)
-    return basis

@@ -1,11 +1,12 @@
 """Local single-coordinate repair and multi-erasure decoding.
 
 Within one block, every codeword polynomial restricts to degree <= r-1,
-so any coordinate is interpolated from the other r values of its repair
-group.  The short last group has only s-1 surviving partners, but the t
-dropped points are known zeros of the polynomial and stand in for the
-missing helpers.  Heavier erasure patterns go through a generic linear
-solve against the generator matrix.
+so any coordinate is the Lagrange combination (field.lagrange_weights)
+of the other r values of its repair group.  The short last group has
+only s-1 surviving partners, but the t dropped points are known zeros of
+the polynomial and stand in for the missing helpers.  verify_locality
+checks the same weights against the generator matrix.  Heavier erasure
+patterns go through a generic linear solve against the generator matrix.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Sequence
 
 from .construction import CodeSpec
 from .errors import IndexOutOfRange, LengthMismatch, LrcError, Unrecoverable
-from .field import interpolate_at
+from .field import lagrange_weights
 from .linalg import row_reduce
 
 ERASED = None
@@ -28,11 +29,21 @@ class ErasurePattern:
     erased: tuple[int, ...]
 
 
-def erasure_pattern(spec: CodeSpec, indices: Sequence[int]) -> ErasurePattern:
+def _check_index(spec: CodeSpec, i: int) -> None:
+    """Refuse anything but an int (not a bool) in [1, n]."""
     n = spec.params.n
+    if not isinstance(i, int) or isinstance(i, bool) or not 1 <= i <= n:
+        raise IndexOutOfRange(f"coordinate {i!r} outside [1, {n}]")
+
+
+def _check_length(spec: CodeSpec, received: Sequence[int | None]) -> None:
+    if len(received) != spec.params.n:
+        raise LengthMismatch(f"received word length {len(received)} != n = {spec.params.n}")
+
+
+def erasure_pattern(spec: CodeSpec, indices: Sequence[int]) -> ErasurePattern:
     for i in indices:
-        if not 1 <= i <= n:
-            raise IndexOutOfRange(f"coordinate {i} outside [1, {n}]")
+        _check_index(spec, i)
     if len(set(indices)) != len(indices):
         raise LrcError(f"repeated coordinate in erasure pattern {list(indices)}")
     return ErasurePattern(tuple(sorted(indices)))
@@ -49,9 +60,7 @@ def locate_group(spec: CodeSpec, i: int) -> tuple[int, tuple[int, ...], tuple[in
     """Repair group of coordinate i (1-based): its 1-based block index,
     the helper points (surviving group members), and the points whose
     value is implicitly zero.  Helpers plus zeros always number r."""
-    n = spec.params.n
-    if not 1 <= i <= n:
-        raise IndexOutOfRange(f"coordinate {i} outside [1, {n}]")
+    _check_index(spec, i)
     alpha = spec.eval_points[i - 1]
     dropped = set(spec.partition.B)
     for g_idx, block in enumerate(spec.partition.blocks, start=1):
@@ -63,14 +72,23 @@ def locate_group(spec: CodeSpec, i: int) -> tuple[int, tuple[int, ...], tuple[in
 
 def repair_local(spec: CodeSpec, i: int, helper_values: Sequence[tuple[int, int]]) -> int:
     """Recover coordinate i from exactly r (point, value) pairs: the
-    helpers reported by locate_group plus zeros at the implicit points."""
+    helpers reported by locate_group plus zeros at the implicit points.
+
+    The value is the dot product of the values with the Lagrange weights
+    of the points at coordinate i's point.  Every point and value must be
+    a field element (NotAFieldElement otherwise).
+    """
     r = spec.params.r
     if len(helper_values) != r:
         raise LengthMismatch(f"local repair needs exactly r = {r} values, got {len(helper_values)}")
-    n = spec.params.n
-    if not 1 <= i <= n:
-        raise IndexOutOfRange(f"coordinate {i} outside [1, {n}]")
-    return interpolate_at(spec.field, helper_values, spec.eval_points[i - 1])
+    _check_index(spec, i)
+    F = spec.field
+    weights = lagrange_weights(F, [F.check(x) for x, _ in helper_values], spec.eval_points[i - 1])
+    acc = 0
+    for w, (_, y) in zip(weights, helper_values):
+        if F.check(y):
+            acc = F.add(acc, F.mul(w, y))
+    return acc
 
 
 def repair_group_values(
@@ -79,6 +97,7 @@ def repair_group_values(
     """Coordinate i's 1-based repair group index and the r (point, value)
     pairs repair_local takes: the helpers' values read from a received
     word, then zeros at the group's dropped points."""
+    _check_length(spec, received)
     g_idx, helpers, zeros = locate_group(spec, i)
     point_to_idx = {alpha: j for j, alpha in enumerate(spec.eval_points)}
     pairs = []
@@ -107,8 +126,7 @@ def decode_erasures(spec: CodeSpec, received: Sequence[int | None]) -> list[int]
     otherwise), since the elimination kernels index tables with them.
     """
     p = spec.params
-    if len(received) != p.n:
-        raise LengthMismatch(f"received word length {len(received)} != n = {p.n}")
+    _check_length(spec, received)
     known = [j for j, v in enumerate(received) if v is not ERASED]
     for j in known:
         spec.field.check(received[j])

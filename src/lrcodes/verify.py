@@ -3,9 +3,11 @@
 Nothing here trusts the construction: the stored generator matrix is
 compared with the construction's polynomials evaluated directly,
 distance comes from enumerating the whole message space, locality from
-dual vectors of the generator matrix, shortening from interpolation
-degree checks, erasure tolerance from exhaustive pattern decoding.  Enumeration is budget-gated; a
-report is either complete or the run aborts with BudgetExceeded.
+checking that each repair group's columns of the generator matrix obey
+the Lagrange weights that repair uses, shortening from interpolation
+degree checks, erasure tolerance from exhaustive pattern decoding.
+Enumeration is budget-gated; a report is either complete or the run
+aborts with BudgetExceeded.
 
 Codeword batches are computed with the field's numpy kernels
 (Field.matmul, Field.add_vec): prime fields reduce int64 products mod
@@ -26,10 +28,9 @@ import numpy as np
 from .bounds import predicted_distance
 from .construction import CodeSpec, assemble_polynomial, encode, extend_to_parent
 from .errors import BudgetExceeded, Unrecoverable
-from .field import Field, poly_eval_vec, poly_mul, poly_scale
-from .linalg import nullspace
+from .field import Field, lagrange_weights, poly_eval_vec, poly_mul, poly_scale
 from .linalg import rank as _rank
-from .repair import apply_erasures, decode_erasures, erasure_pattern
+from .repair import apply_erasures, decode_erasures, erasure_pattern, locate_group
 
 DEFAULT_CHUNK_CAP = 1 << 16
 
@@ -141,63 +142,30 @@ def minimum_weight_word(
 # -- locality -----------------------------------------------------------
 
 
-def group_dual_vector(
-    F: Field, G: Sequence[Sequence[int]], cols: Sequence[int]
-) -> list[int] | None:
-    """A dual constraint on the given columns with no zero entry, or None.
+def verify_locality(spec: CodeSpec) -> bool:
+    """Whether every coordinate of the stored G is the Lagrange combination
+    of its repair group's helpers, with the weights repair_local uses.
 
-    Such a vector proves every one of those coordinates is a linear
-    function of the others.  Any combination of nullspace basis vectors
-    has support inside the union of their supports, so the union must be
-    everything; a full-support combination is then built greedily, one
-    basis vector at a time.
+    The known zeros of the short group have no column and contribute
+    nothing.  One coordinate per repair group is enough: on the r+1
+    points of a block the polynomials of degree <= r-1 satisfy exactly
+    one linear relation, sum_j w_j f(x_j) = 0 with the barycentric
+    weights w_j = 1/prod_{l != j}(x_j - x_l), and the Lagrange relation
+    of every coordinate in the block is a multiple of it.
     """
-    restricted = [[row[c] for c in cols] for row in G]
-    basis = nullspace(F, restricted)
-    if not basis:
-        return None
-    covered = set()
-    for v in basis:
-        covered.update(j for j, x in enumerate(v) if x)
-    if len(covered) != len(cols):
-        return None
-    acc = basis[0]
-    for v in basis[1:]:
-        if all(x == 0 for x in v):
-            continue
-        lam = None
-        for candidate in F.elements():
-            trial = [F.add(a, F.mul(candidate, b)) for a, b in zip(acc, v)]
-            keep = {j for j, x in enumerate(trial) if x}
-            want = {j for j, x in enumerate(acc) if x} | {j for j, x in enumerate(v) if x}
-            if want <= keep:
-                lam = candidate
-                break
-        if lam is None:
-            return None  # field too small for the greedy merge
-        acc = [F.add(a, F.mul(lam, b)) for a, b in zip(acc, v)]
-    if any(x == 0 for x in acc):
-        return None
-    return acc
-
-
-def locality_holds(F: Field, G: Sequence[Sequence[int]], groups: Sequence[Sequence[int]]) -> bool:
-    """Whether every column group carries a full-support dual constraint."""
-    return all(group_dual_vector(F, G, cols) is not None for cols in groups)
-
-
-def repair_groups(spec: CodeSpec) -> list[list[int]]:
-    """Column index groups of the code: one per block, dropped points removed."""
+    F = spec.field
+    G = np.array(spec.G, dtype=np.int64)
     pos = {alpha: j for j, alpha in enumerate(spec.eval_points)}
     dropped = set(spec.partition.B)
-    return [
-        [pos[x] for x in block if x not in dropped]
-        for block in spec.partition.blocks
-    ]
-
-
-def verify_locality(spec: CodeSpec) -> bool:
-    return locality_holds(spec.field, spec.G, repair_groups(spec))
+    for block in spec.partition.blocks:
+        x0 = next(x for x in block if x not in dropped)
+        _, helpers, zeros = locate_group(spec, pos[x0] + 1)
+        weights = lagrange_weights(F, helpers + zeros, x0)
+        cols = [pos[x] for x in helpers]
+        combo = F.matmul(G[:, cols], np.array(weights[: len(cols)])[:, None])
+        if not np.array_equal(combo[:, 0], G[:, pos[x0]]):
+            return False
+    return True
 
 
 # -- shortening ---------------------------------------------------------
@@ -238,26 +206,6 @@ def _parent_layout(spec: CodeSpec) -> tuple[list[int], list[int], int]:
     p = spec.params
     cap = p.k_prime + -(-p.k_prime // p.r) - 2
     return points, b_idx, cap
-
-
-def parent_word_ok(spec: CodeSpec, word: Sequence[int]) -> bool:
-    """Whether a length-n_bar value vector lies in the parent code:
-    zero at every dropped point and interpolation degree within the cap."""
-    F = spec.field
-    points, b_idx, cap = _parent_layout(spec)
-    if len(word) != len(points):
-        return False
-    if any(word[j] != 0 for j in b_idx):
-        return False
-    rows = _lagrange_coeff_rows(F, points, cap + 1)
-    for row in rows:
-        acc = 0
-        for a, b in zip(row, word):
-            if a and b:
-                acc = F.add(acc, F.mul(a, b))
-        if acc != 0:
-            return False
-    return True
 
 
 def verify_shortening(spec: CodeSpec, trials: int, seed: int = 0) -> bool:

@@ -64,7 +64,7 @@ def test_criterion_3_locality(grid_specs, capsys):
     repairs = 0
     for p, spec in grid_specs:
         if not verify_locality(spec):
-            failures.append((p, "dual-support check"))
+            failures.append((p, "Lagrange-weight check"))
             continue
         rng = random.Random(1000 + 37 * p.n + p.k)
         pos = {alpha: j for j, alpha in enumerate(spec.eval_points)}

@@ -216,6 +216,12 @@ def test_repair_command(capsys, code_file):
     assert "6=3" in out and "7=0" in out and "9=0" in out
 
 
+@pytest.mark.parametrize("command", [["repair", "--index", "1"], ["decode"]], ids=["repair", "decode"])
+def test_wrong_word_length_is_exit_2(capsys, code_file, command):
+    assert main([command[0], "--spec", str(code_file), *command[1:], "?", "1", "2"]) == 2
+    assert "received word length 3 != n = 10" in capsys.readouterr().err
+
+
 def test_decode_command(capsys, code_file):
     word = "9 ? 11 2 ? 3 12 ? 8 2".split()
     assert main(["decode", "--spec", str(code_file), *word]) == 0

@@ -48,10 +48,9 @@ def test_locate_group_always_r_known_values(grid_specs):
 
 
 def test_locate_group_range(ref_spec):
-    with pytest.raises(IndexOutOfRange):
-        locate_group(ref_spec, 0)
-    with pytest.raises(IndexOutOfRange):
-        locate_group(ref_spec, 11)
+    for bad in (0, 11, True, 1.0, "1"):
+        with pytest.raises(IndexOutOfRange):
+            locate_group(ref_spec, bad)
 
 
 def test_repair_local_zero_codeword(ref_spec):
@@ -76,6 +75,33 @@ def test_repair_local_duplicate_points(ref_spec):
     i = ref_spec.eval_points.index(4) + 1
     with pytest.raises(DuplicateAbscissa):
         repair_local(ref_spec, i, [(6, 3), (6, 3), (9, 0)])
+
+
+def test_repair_local_rejects_non_field_symbols():
+    spec = build_code(validate_params(16, 10, 5, 3))
+    i = 1
+    _, helpers, zeros = locate_group(spec, i)
+    pairs = [(x, 1000) for x in helpers] + [(b, 0) for b in zeros]
+    with pytest.raises(NotAFieldElement):
+        repair_local(spec, i, pairs)
+    for bad in (16, -1, True):
+        with pytest.raises(NotAFieldElement):
+            repair_local(spec, i, [(bad, 0)] + pairs[1:])
+
+
+def test_repair_coordinate_rejects_non_field_helper():
+    spec = build_code(validate_params(16, 10, 5, 3))
+    received = encode([1, 2, 3, 4, 5], spec)
+    received[0] = None
+    _, helpers, _ = locate_group(spec, 1)
+    received[spec.eval_points.index(helpers[0])] = 99
+    with pytest.raises(NotAFieldElement):
+        repair_coordinate(spec, received, 1)
+
+
+def test_repair_coordinate_length_check(ref_spec):
+    with pytest.raises(LengthMismatch):
+        repair_coordinate(ref_spec, [None, 0, 0], 1)
 
 
 def test_repair_coordinate_round_trip():
@@ -166,3 +192,13 @@ def test_erasure_pattern_validation(ref_spec):
 
     with pytest.raises(LrcError):
         erasure_pattern(ref_spec, [3, 3])
+
+
+def test_coordinates_refuse_bools(ref_spec):
+    # True == 1, but it is not a coordinate
+    with pytest.raises(IndexOutOfRange):
+        erasure_pattern(ref_spec, [True])
+    with pytest.raises(IndexOutOfRange):
+        locate_group(ref_spec, True)
+    with pytest.raises(IndexOutOfRange):
+        repair_local(ref_spec, True, [(5, 0), (8, 0), (12, 0)])

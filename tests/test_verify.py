@@ -2,22 +2,21 @@
 
 import random
 import time
+from dataclasses import replace
 from itertools import product
 
+import numpy as np
 import pytest
 
-from lrcodes.construction import build_code, encode, extend_to_parent, validate_params
+from lrcodes.construction import build_code, encode, validate_params
 from lrcodes.errors import BudgetExceeded
-from lrcodes.field import Field
+from lrcodes.field import lagrange_weights, poly_mul
+from lrcodes.repair import locate_group, repair_coordinate
 from lrcodes.verify import (
     brute_force_distance,
     exhaustive_erasure_test,
     generator_matches,
-    group_dual_vector,
-    locality_holds,
     minimum_weight_word,
-    parent_word_ok,
-    repair_groups,
     run_verification,
     verify_locality,
     verify_shortening,
@@ -85,40 +84,62 @@ def test_verify_locality_on_built_codes(grid_specs):
     rng = random.Random(13)
     for p, spec in rng.sample(grid_specs, 15):
         assert verify_locality(spec)
+    for code in ((65536, 62, 40, 7), (65521, 118, 80, 4), (1024, 120, 60, 10)):
+        assert verify_locality(build_code(validate_params(*code)))
 
 
-def test_locality_fails_for_mds_control():
-    # a Reed-Solomon generator matrix has no dual word of weight r+1 < k+1,
-    # so no grouping of size r+1 can pass
-    F = Field(13)
-    k, n, r = 5, 10, 2
-    G = [[F.pow(x, i) for x in range(1, n + 1)] for i in range(k)]
-    groups = [[0, 1, 2], [3, 4, 5], [6, 7, 8]]
-    assert not locality_holds(F, G, groups)
+def test_locality_fails_for_column_scaled_generator(ref_spec):
+    # G with column 1 doubled still has rank k and the same dual dimension,
+    # but repair_coordinate no longer returns symbol 1 of its codewords
+    F = ref_spec.field
+    G = tuple((F.mul(2, row[0]),) + row[1:] for row in ref_spec.G)
+    spec = replace(ref_spec, G=G)
+    cw = encode([1, 2, 3, 4, 5], spec)
+    assert repair_coordinate(spec, [None] + cw[1:], 1) != cw[0]
+    assert not verify_locality(spec)
+
+
+def test_locality_fails_for_mds_control(ref_spec):
+    # a Reed-Solomon generator matrix on the same points has no dual word
+    # of weight r+1 < k+1, so no repair group's relation can hold
+    F = ref_spec.field
+    G = tuple(tuple(F.pow(x, i) for x in ref_spec.eval_points) for i in range(5))
+    assert not verify_locality(replace(ref_spec, G=G))
+
+
+def _group_relations(spec):
+    """For each coordinate i (1-based): the helper columns and the
+    Lagrange weights on them that give column i."""
+    pos = {alpha: j for j, alpha in enumerate(spec.eval_points)}
+    for i in range(1, spec.params.n + 1):
+        _, helpers, zeros = locate_group(spec, i)
+        weights = lagrange_weights(spec.field, helpers + zeros, spec.eval_points[i - 1])
+        yield i, [pos[x] for x in helpers], weights[: len(helpers)]
 
 
 def test_last_group_dual_weight_is_s():
     # n = 11, r = 3 gives s = 3: the short group carries one constraint
     # touching all s of its coordinates
     spec = build_code(validate_params(13, 11, 5, 3))
-    groups = repair_groups(spec)
-    assert len(groups[-1]) == 3
-    v = group_dual_vector(spec.field, spec.G, groups[-1])
-    assert v is not None
-    assert all(x != 0 for x in v)
+    F = spec.field
+    G = np.array(spec.G)
+    short = [(i, cols, w) for i, cols, w in _group_relations(spec) if len(cols) < 3]
+    assert len(short) == 3
+    for i, cols, w in short:
+        assert len(cols) + 1 == 3
+        assert all(x != 0 for x in w)
+        assert (F.matmul(G[:, cols], np.array(w)[:, None])[:, 0] == G[:, i - 1]).all()
 
 
 def test_dual_vector_annihilates_codewords(ref_spec):
     F = ref_spec.field
     rng = random.Random(17)
-    for cols in repair_groups(ref_spec):
-        v = group_dual_vector(F, ref_spec.G, cols)
-        assert v is not None
-        for _ in range(20):
-            msg = [rng.randrange(13) for _ in range(5)]
-            cw = encode(msg, ref_spec)
-            acc = 0
-            for c, x in zip(cols, v):
+    relations = list(_group_relations(ref_spec))
+    for _ in range(20):
+        cw = encode([rng.randrange(13) for _ in range(5)], ref_spec)
+        for i, cols, w in relations:
+            acc = F.neg(cw[i - 1])
+            for c, x in zip(cols, w):
                 acc = F.add(acc, F.mul(cw[c], x))
             assert acc == 0
 
@@ -127,19 +148,16 @@ def test_verify_shortening(ref_spec):
     assert verify_shortening(ref_spec, 1000)
 
 
-def test_parent_word_checks(ref_spec):
-    msg = [3, 1, 4, 1, 5]
-    word = extend_to_parent(msg, ref_spec)
-    assert parent_word_ok(ref_spec, word)
-    # perturbing a dropped-point coordinate must be caught
-    parent_points = [x for b in ref_spec.partition.blocks for x in b]
-    bad = list(word)
-    bad[parent_points.index(7)] = 1
-    assert not parent_word_ok(ref_spec, bad)
-    # perturbing any other coordinate breaks the degree cap
-    bad = list(word)
-    bad[0] = (bad[0] + 1) % 13
-    assert not parent_word_ok(ref_spec, bad)
+def test_verify_shortening_rejects_tampered_spec(ref_spec):
+    F = ref_spec.field
+    # B is no longer the root set of h_B: the words miss zeros on B
+    other_B = ref_spec.partition.blocks[0][:2]
+    bad = replace(ref_spec, partition=replace(ref_spec.partition, B=other_B))
+    assert not verify_shortening(bad, 100)
+    # x * g_tilde still vanishes on B, but the top slot exceeds the degree cap
+    g_tilde = tuple(poly_mul(F, [0, 1], ref_spec.good.g_tilde))
+    bad = replace(ref_spec, good=replace(ref_spec.good, g_tilde=g_tilde))
+    assert not verify_shortening(bad, 100)
 
 
 def test_exhaustive_erasure(ref_spec):
