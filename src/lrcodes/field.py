@@ -55,6 +55,10 @@ _IRREDUCIBLE = {
     16: 0x1002B,
 }
 
+# Smallest generator of the multiplicative group under each modulus above,
+# where x = 2 is not one (0x11B needs 3); every other degree uses 2.
+_GENERATOR = {8: 3, 9: 7, 12: 3, 14: 7, 16: 3}
+
 
 def _is_prime(n: int) -> bool:
     if n < 2:
@@ -288,24 +292,23 @@ def _times_scalar(a: np.ndarray, b: int, e: int, modulus: int) -> np.ndarray:
 def binary_log_tables(e: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only (log, exp) tables of GF(2^e) under its fixed modulus.
 
-    exp[i] = g^i for a generator g, repeated over [0, 2(q-1)) and zero
-    on [2(q-1), 4(q-1)].  log[0] = 2(q-1), so exp[log[a] + log[b]] is
-    the product a*b for every pair, zeros included, with no branch.
+    exp[i] = g^i for the generator g = _GENERATOR.get(e, 2), repeated
+    over [0, 2(q-1)) and zero on [2(q-1), 4(q-1)].  log[0] = 2(q-1), so
+    exp[log[a] + log[b]] is the product a*b for every pair, zeros
+    included, with no branch.
     For GF(2^16) that is 256 KiB of int32 logs and 512 KiB of uint16.
     """
-    F = Field(1 << e)
-    order = F.order - 1
-    # x is not primitive under every modulus (0x11B needs 3)
-    g = smallest_primitive(F)
+    order, modulus = (1 << e) - 1, _IRREDUCIBLE[e]
+    g = _GENERATOR.get(e, 2)
     exp = np.zeros(4 * order + 1, dtype=np.uint16)
     exp[0] = 1
     size, step = 1, g  # step is always g ** size
     while size < order:
         n = min(size, order - size)
         # int32 leaves room for the shift in the bit-serial product
-        exp[size : size + n] = _times_scalar(exp[:n].astype(np.int32), step, e, F.modulus)
+        exp[size : size + n] = _times_scalar(exp[:n].astype(np.int32), step, e, modulus)
         size += n
-        step = F.mul(step, step)
+        step = int(_times_scalar(np.array(step), step, e, modulus))
     exp[order : 2 * order] = exp[:order]
     log = np.empty(order + 1, dtype=np.int32)
     log[exp[:order]] = np.arange(order, dtype=np.int32)
@@ -366,13 +369,6 @@ def poly_mul(F: Field, a: Sequence[int], b: Sequence[int]) -> list[int]:
         for j, y in enumerate(b):
             out[i + j] = F.add(out[i + j], F.mul(x, y))
     return poly_trim(out)
-
-
-def poly_pow(F: Field, p: Sequence[int], n: int) -> list[int]:
-    acc: list[int] = [1]
-    for _ in range(n):
-        acc = poly_mul(F, acc, p)
-    return acc
 
 
 def poly_eval(F: Field, p: Sequence[int], x: int) -> int:

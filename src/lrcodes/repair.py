@@ -76,14 +76,20 @@ def repair_local(spec: CodeSpec, i: int, helper_values: Sequence[tuple[int, int]
 
     The value is the dot product of the values with the Lagrange weights
     of the points at coordinate i's point.  Every point and value must be
-    a field element (NotAFieldElement otherwise).
+    a field element (NotAFieldElement otherwise).  Any other set of
+    points, or a nonzero value at an implicit point, is refused
+    (LrcError): the weights of other points give a wrong symbol.
     """
     r = spec.params.r
     if len(helper_values) != r:
         raise LengthMismatch(f"local repair needs exactly r = {r} values, got {len(helper_values)}")
-    _check_index(spec, i)
+    _, helpers, zeros = locate_group(spec, i)
     F = spec.field
-    weights = lagrange_weights(F, [F.check(x) for x, _ in helper_values], spec.eval_points[i - 1])
+    xs = [F.check(x) for x, _ in helper_values]
+    # repeated points raise DuplicateAbscissa here, before the group check
+    weights = lagrange_weights(F, xs, spec.eval_points[i - 1])
+    if set(xs) != set(helpers + zeros) or any(y != 0 for x, y in helper_values if x in zeros):
+        raise LrcError(f"coordinate {i} is repaired from points {helpers} and zeros at {zeros}")
     acc = 0
     for w, (_, y) in zip(weights, helper_values):
         if F.check(y):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 from typing import Sequence
 
@@ -32,7 +32,7 @@ from .field import Field, lagrange_weights, poly_eval_vec, poly_mul, poly_scale
 from .linalg import rank as _rank
 from .repair import apply_erasures, decode_erasures, erasure_pattern, locate_group
 
-DEFAULT_CHUNK_CAP = 1 << 16
+DEFAULT_CHUNK_CAP = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -88,8 +88,11 @@ def brute_force_distance(
     """Exact minimum weight over all q^k - 1 nonzero codewords.
 
     Messages are enumerated digit by digit: the low digits are expanded
-    into one table of at most chunk_cap codewords, the high digits are
-    walked one combination at a time and broadcast against that table.
+    into one table of at most chunk_cap symbols (codewords times n), the
+    high digits are walked one combination at a time and broadcast
+    against that table.  When even one digit's q codewords exceed the
+    cap, that digit's table is built and walked in slices of
+    chunk_cap // n codewords, so memory stays bounded for any q and n.
     The answer does not depend on chunk_cap (it only shapes the batches).
     """
     weight, _ = minimum_weight_word(spec, budget, chunk_cap)
@@ -108,33 +111,27 @@ def minimum_weight_word(
         raise BudgetExceeded(f"distance search needs budget >= {total} (q^k), got {budget}")
     G = np.array(spec.G, dtype=np.int64)
     # digits 0..low-1 go into the in-memory table, the rest are walked
-    low = 0
-    while low < k and q ** (low + 1) <= max(chunk_cap, q):
+    low = 1
+    while low < k and q ** (low + 1) * n <= chunk_cap:
         low += 1
-    # row i of the table encodes the message whose digit d is (i // q^d) % q
-    low_msgs = np.arange(q**low)[:, None] // q ** np.arange(low) % q
-    table = F.matmul(low_msgs, G[:low])
+    rows = max(1, chunk_cap // n)
     best_w, best_m = n + 1, None
-    high_digits = [0] * (k - low)
-    while True:
-        base = F.matmul(np.array([high_digits], dtype=np.int64), G[low:])
-        weights = np.count_nonzero(F.add_vec(base, table), axis=1)
-        if not any(high_digits):
-            weights[0] = n + 1  # the all-zero message does not count
-        i = int(weights.argmin())
-        if weights[i] < best_w:
-            best_w = int(weights[i])
-            best_m = low_msgs[i].tolist() + list(high_digits)
-        # odometer over the high digits
-        d = 0
-        while d < len(high_digits):
-            high_digits[d] += 1
-            if high_digits[d] < q:
-                break
-            high_digits[d] = 0
-            d += 1
-        else:
-            break
+    # more than one slice only when a single digit's table exceeds the cap
+    for start in range(0, q**low, rows):
+        # row i encodes the message whose digit d is ((start + i) // q^d) % q
+        low_msgs = np.arange(start, min(start + rows, q**low))[:, None] // q ** np.arange(low) % q
+        table = F.matmul(low_msgs, G[:low])
+        # reversed, so the lowest high digit turns fastest
+        for rev_high in product(range(q), repeat=k - low):
+            high = rev_high[::-1]
+            base = F.matmul(np.array([high], dtype=np.int64), G[low:])
+            weights = np.count_nonzero(F.add_vec(base, table), axis=1)
+            if start == 0 and not any(high):
+                weights[0] = n + 1  # the all-zero message does not count
+            i = int(weights.argmin())
+            if weights[i] < best_w:
+                best_w = int(weights[i])
+                best_m = low_msgs[i].tolist() + list(high)
     assert best_m is not None
     return best_w, best_m
 

@@ -30,6 +30,36 @@ def _poly2_mod(a, b):
     return a
 
 
+def gf2_mul(a, b, modulus):
+    """Carry-less product of a and b reduced by *modulus*: the bit-serial
+    reference for GF(2^e) multiplication, independent of the tables."""
+    acc = 0
+    while b:
+        if b & 1:
+            acc ^= a
+        a <<= 1
+        b >>= 1
+    return _poly2_mod(acc, modulus)
+
+
+def gf2_pow(a, n, modulus):
+    acc = 1
+    while n:
+        if n & 1:
+            acc = gf2_mul(acc, a, modulus)
+        a = gf2_mul(a, a, modulus)
+        n >>= 1
+    return acc
+
+
+def reference_mul(q, a, b):
+    """a*b in GF(q) without the library's arithmetic."""
+    e = q.bit_length() - 1
+    if e < 2 or q != 1 << e:
+        return a * b % q
+    return gf2_mul(a, b, _IRREDUCIBLE[e])
+
+
 def _first_irreducible(e):
     # trial division over GF(2)[x]; constant term must be 1
     f = (1 << e) + 1
@@ -114,6 +144,30 @@ def test_field_axioms(q):
         # Fermat: a^q = a for every element
         for a in elems:
             assert F.pow(a, q) == a
+
+
+@pytest.mark.parametrize("e", range(2, 17))
+def test_binary_scalar_ops_match_reference(e):
+    q, modulus = 1 << e, _IRREDUCIBLE[e]
+    F = Field(q)
+    rng = random.Random(e)
+    xs = [0, 1, 2, q - 1] + [rng.randrange(q) for _ in range(36)]
+    for a in xs:
+        for b in xs:
+            assert F.mul(a, b) == gf2_mul(a, b, modulus)
+            if b:
+                assert gf2_mul(F.div(a, b), b, modulus) == a
+        # 0^0 = 1, and exponents at and beyond the group order q - 1
+        for n in (0, 1, 2, 3, q - 2, q - 1, q, q + 1, 3 * q + 5, rng.randrange(q, 1 << 40)):
+            assert F.pow(a, n) == gf2_pow(a, n, modulus)
+    # every inverse up to GF(2^10), the sample beyond
+    for a in range(1, q) if e <= 10 else [x for x in xs if x]:
+        assert gf2_mul(a, F.inv(a), modulus) == 1
+    assert F.pow(0, 0) == 1 and F.pow(0, q - 1) == 0
+    with pytest.raises(DivisionByZero):
+        F.inv(0)
+    with pytest.raises(DivisionByZero):
+        F.div(1, 0)
 
 
 def test_poly_helpers():

@@ -1,5 +1,6 @@
-"""Vector field kernels against the scalar Field methods, over every
-supported binary degree and a spread of prime fields."""
+"""Vector field kernels against the carry-less reference product and the
+scalar Field methods, over every supported binary degree and a spread of
+prime fields."""
 
 import random
 
@@ -7,9 +8,10 @@ import numpy as np
 import pytest
 
 from lrcodes.errors import DivisionByZero
-from lrcodes.field import _IRREDUCIBLE, Field, binary_log_tables
+from lrcodes.field import _IRREDUCIBLE, Field, binary_log_tables, smallest_primitive
 from lrcodes import linalg
 from lrcodes.linalg import row_reduce
+from test_field import gf2_mul, gf2_pow, reference_mul
 
 ORDERS = [1 << e for e in range(2, 17)] + [2, 3, 13, 257, 65521]
 
@@ -64,24 +66,28 @@ def test_exp_table_is_a_permutation(e):
     assert not exp.flags.writeable and not log.flags.writeable
     # the tables never replace the modulus codewords depend on
     assert Field(q).modulus == _IRREDUCIBLE[e]
-    F = Field(q)
-    assert F.mul(int(exp[1]), int(exp[q - 2])) == 1
+    # exp[i] = g^i under that modulus, by the reference product
+    g, powers = int(exp[1]), exp[:q].tolist()
+    assert all(gf2_mul(x, g, _IRREDUCIBLE[e]) == y for x, y in zip(powers, powers[1:]))
 
 
-@pytest.mark.parametrize("e", [*range(2, 11), 14])
+def _prime_factors(n):
+    return [f for f in range(2, n + 1) if n % f == 0 and all(f % d for d in range(2, f))]
+
+
+@pytest.mark.parametrize("e", range(2, 17))
 def test_generator_is_the_smallest_primitive_element(e):
-    # x = 2 is not primitive under every modulus: 0x11B needs 3, degrees 9 and 14 need 7
-    F = Field(1 << e)
+    # x = 2 is not primitive under every modulus: 0x11B and degrees 12 and
+    # 16 need 3, degrees 9 and 14 need 7
+    q, modulus = 1 << e, _IRREDUCIBLE[e]
 
-    def order(g):
-        x, n = g, 1
-        while x != 1:
-            x, n = F.mul(x, g), n + 1
-        return n
+    def primitive(g):
+        return all(gf2_pow(g, (q - 1) // f, modulus) != 1 for f in _prime_factors(q - 1))
 
-    smallest = next(g for g in range(2, F.order) if order(g) == F.order - 1)
+    smallest = next(g for g in range(2, q) if primitive(g))
     assert binary_log_tables(e)[1][1] == smallest
-    assert smallest == {8: 3, 9: 7, 14: 7}.get(e, 2)
+    assert smallest_primitive(Field(q)) == smallest
+    assert smallest == {8: 3, 9: 7, 12: 3, 14: 7, 16: 3}.get(e, 2)
 
 
 def test_gf65536_tables_fit_in_a_mebibyte():
@@ -94,7 +100,7 @@ def test_mul_div_add_vec_match_scalar(q):
     F = Field(q)
     a, b = _pairs(q, 2000, seed=q)
     got = F.mul_vec(a, b)
-    assert got.tolist() == [F.mul(int(x), int(y)) for x, y in zip(a, b)]
+    assert got.tolist() == [reference_mul(q, int(x), int(y)) for x, y in zip(a, b)]
     assert F.add_vec(a, b).tolist() == [F.add(int(x), int(y)) for x, y in zip(a, b)]
     c = int(b[b != 0][0])
     c_inv = F.inv(c)

@@ -10,6 +10,7 @@ from lrcodes.errors import (
     DuplicateAbscissa,
     IndexOutOfRange,
     LengthMismatch,
+    LrcError,
     NotAFieldElement,
     Unrecoverable,
 )
@@ -75,6 +76,18 @@ def test_repair_local_duplicate_points(ref_spec):
     i = ref_spec.eval_points.index(4) + 1
     with pytest.raises(DuplicateAbscissa):
         repair_local(ref_spec, i, [(6, 3), (6, 3), (9, 0)])
+
+
+def test_repair_local_refuses_points_outside_the_group(ref_spec):
+    # r distinct field points that are not coordinate 4's group would give 3, not cw[3] = 10
+    cw = encode([1, 2, 3, 4, 5], ref_spec)
+    assert cw[3] == 10
+    with pytest.raises(LrcError):
+        repair_local(ref_spec, 4, [(1, cw[0]), (5, cw[4]), (8, cw[6])])
+    # the group's points in any order are accepted; its known zeros must carry 0
+    assert repair_local(ref_spec, 4, [(9, 0), (6, cw[5]), (7, 0)]) == 10
+    with pytest.raises(LrcError):
+        repair_local(ref_spec, 4, [(6, cw[5]), (7, 1), (9, 0)])
 
 
 def test_repair_local_rejects_non_field_symbols():
@@ -188,8 +201,6 @@ def test_erasure_pattern_validation(ref_spec):
         erasure_pattern(ref_spec, [0])
     with pytest.raises(IndexOutOfRange):
         erasure_pattern(ref_spec, [11])
-    from lrcodes.errors import LrcError
-
     with pytest.raises(LrcError):
         erasure_pattern(ref_spec, [3, 3])
 

@@ -2,6 +2,7 @@
 
 import random
 import time
+import tracemalloc
 from dataclasses import replace
 from itertools import product
 
@@ -50,8 +51,21 @@ def test_distance_reference_values(ref_spec):
 
 
 def test_distance_chunk_invariance(ref_spec):
-    for cap in (7, 64, 1 << 16):
+    # caps in symbols: one digit in two slices, one digit whole, four digits
+    for cap in (70, 640, 655360):
         assert brute_force_distance(ref_spec, 5_000_000, chunk_cap=cap) == 4
+
+
+def test_distance_memory_is_capped_for_k1():
+    # q codewords of n symbols would be a 20 MiB table; the cap slices it
+    spec = build_code(validate_params(4096, 300, 1, 2))
+    tracemalloc.start()
+    try:
+        assert brute_force_distance(spec, 5_000_000, chunk_cap=1 << 16) == 300
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 def test_distance_budget(ref_spec):
