@@ -292,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True, help="code file from construct")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                    help="max enumerated words / patterns (default %(default)s)")
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized sub-checks")
+    p.add_argument("--seed", type=int, default=0, help="seed for the erasure check's random messages")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bounds", help="distance bounds for (n, k, r), no field needed")

@@ -9,9 +9,9 @@ codeword is the value vector on the remaining n points.
 
 build_code evaluates that structure once, with the field's vector
 kernels, into the generator matrix G: one row per message slot.  encode
-is msg . G and nothing else; assemble_polynomial and extend_to_parent
-are the independent polynomial path that the verify module checks G
-and the shortening against.
+is msg . G and nothing else; assemble_polynomial is the independent
+polynomial path that the verify module checks G and the shortening
+against.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .errors import (
 from .field import (
     Field,
     poly_add,
-    poly_eval,
     poly_eval_vec,
     poly_from_roots,
     poly_mul,
@@ -110,7 +109,7 @@ def validate_params(q: int, n: int, k: int, r: int) -> CodeParams:
     unshortened one.
     """
     for name, v in (("q", q), ("n", n), ("k", k), ("r", r)):
-        if not isinstance(v, int) or v < 1:
+        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
             raise LrcError(f"{name} must be a positive integer, got {v!r}")
     if r >= n:
         raise LrcError(f"locality r = {r} must be smaller than the length n = {n}")
@@ -180,14 +179,6 @@ def encode(msg: Sequence[int], spec: CodeSpec) -> list[int]:
     """The codeword msg . G."""
     _check_message(msg, spec)
     return spec.field.matmul([msg], spec.G)[0].tolist()
-
-
-def extend_to_parent(msg: Sequence[int], spec: CodeSpec) -> list[int]:
-    """The length-n_bar parent codeword: values on every block in block
-    order, including the dropped points B (where the value is zero)."""
-    f = assemble_polynomial(msg, spec)
-    F = spec.field
-    return [poly_eval(F, f, x) for block in spec.partition.blocks for x in block]
 
 
 def _generator_matrix(

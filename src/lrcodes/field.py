@@ -3,9 +3,7 @@
 Field elements are plain Python ints in [0, q), in canonical form: the
 residue mod p for prime fields, the coefficient bit pattern for binary
 extension fields.  Polynomials are lists of such ints, lowest degree
-first, with no trailing zeros; the zero polynomial is the empty list and
-its degree is the sentinel NEG_INF (so degree arithmetic stays honest:
-deg(a*b) = deg(a) + deg(b) holds for the sentinel too).
+first, with no trailing zeros; the zero polynomial is the empty list.
 
 Vector arithmetic lives here too: reduce_vec, add_vec, mul_vec, div_vec,
 isub_mul and matmul act on integer numpy arrays, and poly_eval_vec
@@ -30,8 +28,6 @@ from .errors import (
     NotAPrimePower,
     UnsupportedField,
 )
-
-NEG_INF = float("-inf")
 
 MAX_ORDER = 1 << 16
 
@@ -122,9 +118,6 @@ class Field:
         if not isinstance(a, int) or isinstance(a, bool) or not 0 <= a < self.order:
             raise NotAFieldElement(f"{a!r} is not an element of GF({self.order})")
         return a
-
-    def elements(self) -> range:
-        return range(self.order)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -329,10 +322,6 @@ def poly_trim(coeffs: Sequence[int]) -> list[int]:
     return out
 
 
-def poly_degree(p: Sequence[int]) -> int | float:
-    return len(p) - 1 if p else NEG_INF
-
-
 def poly_add(F: Field, a: Sequence[int], b: Sequence[int]) -> list[int]:
     out = [0] * max(len(a), len(b))
     for i, c in enumerate(a):
@@ -393,32 +382,6 @@ def poly_from_roots(F: Field, roots: Sequence[int]) -> list[int]:
     for rt in roots:
         acc = poly_mul(F, acc, [F.neg(rt), 1])
     return acc
-
-
-def lagrange_interpolate(F: Field, points: Sequence[tuple[int, int]]) -> list[int]:
-    """Unique polynomial of degree < len(points) through all (x, y) pairs.
-
-    Raises DuplicateAbscissa when two x values coincide.
-    """
-    if not points:
-        raise ValueError("need at least one interpolation point")
-    xs = [x for x, _ in points]
-    if len(set(xs)) != len(xs):
-        raise DuplicateAbscissa(f"repeated x coordinate in {xs}")
-    result: list[int] = []
-    for i, (xi, yi) in enumerate(points):
-        if yi == 0:
-            continue
-        # yi * prod_{j != i} (x - xj) / (xi - xj)
-        basis: list[int] = [1]
-        denom = 1
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            basis = poly_mul(F, basis, [F.neg(xj), 1])
-            denom = F.mul(denom, F.sub(xi, xj))
-        result = poly_add(F, result, poly_scale(F, F.mul(yi, F.inv(denom)), basis))
-    return result
 
 
 def lagrange_weights(F: Field, xs: Sequence[int], x0: int) -> list[int]:

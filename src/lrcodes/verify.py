@@ -4,8 +4,11 @@ Nothing here trusts the construction: the stored generator matrix is
 compared with the construction's polynomials evaluated directly,
 distance comes from enumerating the whole message space, locality from
 checking that each repair group's columns of the generator matrix obey
-the Lagrange weights that repair uses, shortening from interpolation
-degree checks, erasure tolerance from exhaustive pattern decoding.
+the Lagrange weights that repair uses, shortening from the k unit
+messages' parent words (zeros on the dropped points, and the parent's
+parity check built from the same Lagrange weights), erasure tolerance
+from exhaustive pattern decoding.  Only the erasure oracle samples (one
+random message per pattern, from its seed); the others are exact.
 Enumeration is budget-gated; a report is either complete or the run
 aborts with BudgetExceeded.
 
@@ -26,9 +29,9 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import predicted_distance
-from .construction import CodeSpec, assemble_polynomial, encode, extend_to_parent
+from .construction import CodeSpec, assemble_polynomial, encode
 from .errors import BudgetExceeded, Unrecoverable
-from .field import Field, lagrange_weights, poly_eval_vec, poly_mul, poly_scale
+from .field import lagrange_weights, poly_eval_vec
 from .linalg import rank as _rank
 from .repair import apply_erasures, decode_erasures, erasure_pattern, locate_group
 
@@ -61,6 +64,19 @@ class VerificationReport:
 # -- the stored generator matrix ---------------------------------------
 
 
+def _unit_words(spec: CodeSpec, points: Sequence[int]) -> np.ndarray:
+    """k x len(points) array: row i holds the values at *points* of unit
+    message i's polynomial from assemble_polynomial (G is never read)."""
+    k = spec.params.k
+    xs = np.array(points, dtype=np.int64)
+    rows = []
+    for row in range(k):
+        unit = [0] * k
+        unit[row] = 1
+        rows.append(poly_eval_vec(spec.field, assemble_polynomial(unit, spec), xs))
+    return np.array(rows, dtype=np.int64)
+
+
 def generator_matches(spec: CodeSpec) -> bool:
     """Whether each row of G is its unit message's codeword by the
     polynomial path: assemble the polynomial, evaluate it at the n points.
@@ -68,15 +84,7 @@ def generator_matches(spec: CodeSpec) -> bool:
     encode and decode both use G, so a G that differs from the
     construction round-trips cleanly; only this check sees it.
     """
-    k = spec.params.k
-    points = np.array(spec.eval_points, dtype=np.int64)
-    for row, stored in enumerate(spec.G):
-        unit = [0] * k
-        unit[row] = 1
-        f = assemble_polynomial(unit, spec)
-        if poly_eval_vec(spec.field, f, points).tolist() != list(stored):
-            return False
-    return True
+    return np.array_equal(_unit_words(spec, spec.eval_points), np.array(spec.G, dtype=np.int64))
 
 
 # -- distance by exhaustive enumeration --------------------------------
@@ -168,66 +176,35 @@ def verify_locality(spec: CodeSpec) -> bool:
 # -- shortening ---------------------------------------------------------
 
 
-def _lagrange_coeff_rows(F: Field, points: Sequence[int], min_degree: int) -> list[list[int]]:
-    """Rows mapping a value vector on *points* to the coefficients of
-    degrees min_degree .. len(points)-1 of its interpolating polynomial."""
-    npts = len(points)
-    master = [1]
-    for x in points:
-        master = poly_mul(F, master, [F.neg(x), 1])
-    rows = [[0] * npts for _ in range(min_degree, npts)]
-    for j, xj in enumerate(points):
-        # basis_j = master / (x - xj), by synthetic division, then normalized
-        basis = [0] * npts
-        carry = master[npts]
-        for deg in range(npts - 1, -1, -1):
-            basis[deg] = carry
-            carry = F.add(master[deg], F.mul(carry, xj))
-        denom = 1
-        for xl in points:
-            if xl != xj:
-                denom = F.mul(denom, F.sub(xj, xl))
-        basis = poly_scale(F, F.inv(denom), basis)
-        basis += [0] * (npts - len(basis))
-        for e in range(min_degree, npts):
-            rows[e - min_degree][j] = basis[e]
-    return rows
+def verify_shortening(spec: CodeSpec) -> bool:
+    """Whether every message embeds into the parent code: its polynomial
+    vanishes on the dropped points B, and its values on all n_bar block
+    points interpolate to degree <= k' + ceil(k'/r) - 2 (the parent cap).
 
-
-def _parent_layout(spec: CodeSpec) -> tuple[list[int], list[int], int]:
-    """Parent coordinate order (all block points), the indices of the
-    dropped points within it, and the parent degree cap."""
-    points = [x for block in spec.partition.blocks for x in block]
-    dropped = set(spec.partition.B)
-    b_idx = [j for j, x in enumerate(points) if x in dropped]
-    p = spec.params
-    cap = p.k_prime + -(-p.k_prime // p.r) - 2
-    return points, b_idx, cap
-
-
-def verify_shortening(spec: CodeSpec, trials: int, seed: int = 0) -> bool:
-    """Check *trials* random messages embed into the parent code: their
-    extended words vanish on the dropped points and interpolate to a
-    polynomial within the parent degree cap."""
+    Both conditions are linear in the message, so the k unit messages
+    decide them for all q^k messages.  The degree test is the parity
+    check of the parent: with weights w_j proportional to the barycentric
+    1/prod_{l != j}(x_j - x_l), values y on the n_bar distinct points x
+    have an interpolant of degree <= cap iff sum_j w_j x_j^e y_j = 0 for
+    e = 0 .. n_bar - 2 - cap.
+    """
     F = spec.field
     p = spec.params
-    points, b_idx, cap = _parent_layout(spec)
-    parent_G = []
-    for row in range(p.k):
-        unit = [0] * p.k
-        unit[row] = 1
-        parent_G.append(extend_to_parent(unit, spec))
-    rng = random.Random(seed)
-    msgs = np.array(
-        [[rng.randrange(p.q) for _ in range(p.k)] for _ in range(trials)], dtype=np.int64
-    )
-    words = F.matmul(msgs, parent_G)
-    if b_idx and np.count_nonzero(words[:, b_idx]):
+    points = [x for block in spec.partition.blocks for x in block]
+    words = _unit_words(spec, points)
+    dropped = set(spec.partition.B)
+    if np.count_nonzero(words[:, [j for j, x in enumerate(points) if x in dropped]]):
         return False
-    check = np.array(_lagrange_coeff_rows(F, points, cap + 1), dtype=np.int64)
-    if check.size and np.count_nonzero(F.matmul(words, check.T)):
-        return False
-    return True
+    cap = p.k_prime + -(-p.k_prime // p.r) - 2
+    # lambda_j = -w_j / w_last predicts the last point from the others
+    row = np.array(lagrange_weights(F, points[:-1], points[-1]) + [F.neg(1)], dtype=np.int64)
+    x = np.array(points, dtype=np.int64)
+    dual = []
+    # the rate bound k <= n - m keeps cap <= n_bar - 2: at least one row
+    for _ in range(len(points) - 1 - cap):
+        dual.append(row)
+        row = F.mul_vec(row, x)
+    return not np.count_nonzero(F.matmul(words, np.array(dual).T))
 
 
 # -- erasure decoding ---------------------------------------------------
@@ -257,9 +234,7 @@ def exhaustive_erasure_test(
     return True
 
 
-def run_verification(
-    spec: CodeSpec, budget: int, trials: int = 1000, seed: int = 0
-) -> VerificationReport:
+def run_verification(spec: CodeSpec, budget: int, seed: int = 0) -> VerificationReport:
     """All oracles against one spec.  Budget shortfalls raise before any
     check runs, so a returned report always covers everything."""
     p = spec.params
@@ -276,7 +251,7 @@ def run_verification(
         distance_found=brute_force_distance(spec, budget),
         distance_expected=d,
         locality_ok=verify_locality(spec),
-        shortening_ok=verify_shortening(spec, trials, seed),
+        shortening_ok=verify_shortening(spec),
         erasure_ok=exhaustive_erasure_test(spec, d - 1, budget, seed),
         enumerated_words=p.q**p.k - 1,
     )

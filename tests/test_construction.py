@@ -8,7 +8,6 @@ from lrcodes.construction import (
     assemble_polynomial,
     build_code,
     encode,
-    extend_to_parent,
     message_layout,
     validate_params,
 )
@@ -21,7 +20,7 @@ from lrcodes.errors import (
     RateBoundViolated,
     SEqualsOne,
 )
-from lrcodes.field import lagrange_interpolate, poly_degree, poly_trim
+from lrcodes.field import lagrange_weights, poly_eval
 from lrcodes.linalg import rank
 
 
@@ -48,6 +47,15 @@ def test_validate_params_rejections():
         validate_params(13, 4, 2, 4)  # r >= n
     with pytest.raises(LrcError):
         validate_params(13, 10, 0, 3)
+
+
+@pytest.mark.parametrize(
+    "args", [(13, 10, True, 3), (True, 10, 5, 3), (13, True, 1, 3), (13, 10, 5, True)]
+)
+def test_validate_params_refuses_bools(args):
+    # True is an int in Python; (13, 10, True, 3) used to build a k = 1 code
+    with pytest.raises(LrcError, match="positive integer"):
+        validate_params(*args)
 
 
 def test_message_layout_reference():
@@ -115,7 +123,7 @@ def test_assemble_top_slot_hits_degree_cap(ref_spec):
     # a_{0,2} = 1: f = (x^4 + 4)^2, degree 8 = k' + ceil(k'/r) - 2
     f = assemble_polynomial([0, 1, 0, 0, 0], ref_spec)
     assert f == [3, 0, 0, 0, 8, 0, 0, 0, 1]
-    assert poly_degree(f) == 8
+    assert len(f) - 1 == 8
 
 
 def test_encode_rejects_bool_and_out_of_range(ref_spec):
@@ -176,16 +184,17 @@ def test_degree_cap_random_messages(q, n, k, r):
     rng = random.Random(q * n)
     for _ in range(10_000):
         msg = [rng.randrange(q) for _ in range(k)]
-        assert poly_degree(assemble_polynomial(msg, spec)) <= cap
+        assert len(assemble_polynomial(msg, spec)) - 1 <= cap
 
 
 def test_extend_to_parent_reference(ref_spec):
     msg = [0, 0, 0, 0, 1]
-    word = extend_to_parent(msg, ref_spec)
-    assert len(word) == 12
+    f = assemble_polynomial(msg, ref_spec)
     # parent order is block order; the dropped points 7 and 9 sit in the
     # last block (4, 6, 7, 9) and must read zero
     parent_points = [x for block in ref_spec.partition.blocks for x in block]
+    word = [poly_eval(ref_spec.field, f, x) for x in parent_points]
+    assert len(word) == 12
     assert word[parent_points.index(7)] == 0
     assert word[parent_points.index(9)] == 0
     # restriction to the surviving points is the codeword
@@ -198,17 +207,20 @@ def test_extend_to_parent_reference(ref_spec):
 
 def test_block_restriction_has_low_degree(grid_specs):
     # within any single block, every codeword polynomial looks like a
-    # polynomial of degree <= r-1: that is what makes local repair work
+    # polynomial of degree <= r-1: that is what makes local repair work.
+    # On the r+1 block points that is the same as the first r values
+    # predicting the last one by Lagrange interpolation.
     rng = random.Random(5)
     sample = rng.sample(grid_specs, 12)
     for p, spec in sample:
         F = spec.field
         for _ in range(20):
             msg = [rng.randrange(p.q) for _ in range(p.k)]
-            word = extend_to_parent(msg, spec)
-            parent_points = [x for block in spec.partition.blocks for x in block]
-            values = dict(zip(parent_points, word))
+            f = assemble_polynomial(msg, spec)
             for block in spec.partition.blocks:
-                pts = [(x, values[x]) for x in block]
-                restricted = lagrange_interpolate(F, pts)
-                assert poly_degree(poly_trim(restricted)) <= p.r - 1
+                values = [poly_eval(F, f, x) for x in block]
+                weights = lagrange_weights(F, block[:-1], block[-1])
+                predicted = 0
+                for w, v in zip(weights, values):
+                    predicted = F.add(predicted, F.mul(w, v))
+                assert predicted == values[-1]

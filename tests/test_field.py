@@ -7,12 +7,9 @@ import pytest
 from lrcodes.errors import DivisionByZero, DuplicateAbscissa, NotAPrimePower, UnsupportedField
 from lrcodes.field import (
     _IRREDUCIBLE,
-    NEG_INF,
     Field,
-    lagrange_interpolate,
     lagrange_weights,
     poly_add,
-    poly_degree,
     poly_eval,
     poly_from_roots,
     poly_mul,
@@ -124,7 +121,7 @@ def test_gf256_aes_inverse_pair():
 def test_field_axioms(q):
     F = Field(q)
     rng = random.Random(q)
-    elems = list(F.elements())
+    elems = list(range(q))
     for _ in range(200):
         a, b, c = (rng.choice(elems) for _ in range(3))
         assert F.add(a, b) == F.add(b, a)
@@ -173,8 +170,6 @@ def test_binary_scalar_ops_match_reference(e):
 def test_poly_helpers():
     F = Field(13)
     assert poly_trim([1, 2, 0, 0]) == [1, 2]
-    assert poly_degree([]) == NEG_INF
-    assert poly_degree([5]) == 0
     assert poly_add(F, [1, 2], [12, 11]) == []
     assert poly_mul(F, [], [1, 2]) == []
     # (x + 1)(x + 2) = x^2 + 3x + 2
@@ -194,19 +189,15 @@ def test_interpolation_round_trip(q):
         npts = rng.randrange(1, min(q, 9))
         xs = rng.sample(range(q), npts)
         coeffs = poly_trim([rng.randrange(q) for _ in range(npts)])
-        pts = [(x, poly_eval(F, coeffs, x)) for x in xs]
-        assert lagrange_interpolate(F, pts) == coeffs
         x0 = rng.randrange(q)
         weights = lagrange_weights(F, xs, x0)
         value = 0
-        for w, (_, y) in zip(weights, pts):
-            value = F.add(value, F.mul(w, y))
+        for w, x in zip(weights, xs):
+            value = F.add(value, F.mul(w, poly_eval(F, coeffs, x)))
         assert value == poly_eval(F, coeffs, x0)
 
 
 def test_interpolation_rejects_duplicates():
     F = Field(13)
-    with pytest.raises(DuplicateAbscissa):
-        lagrange_interpolate(F, [(1, 2), (1, 3)])
     with pytest.raises(DuplicateAbscissa):
         lagrange_weights(F, [4, 4, 5], 0)

@@ -9,9 +9,10 @@ from itertools import product
 import numpy as np
 import pytest
 
-from lrcodes.construction import build_code, encode, validate_params
+from lrcodes.construction import assemble_polynomial, build_code, encode, validate_params
 from lrcodes.errors import BudgetExceeded
-from lrcodes.field import lagrange_weights, poly_mul
+from lrcodes.field import lagrange_weights, poly_eval, poly_mul
+from lrcodes.linalg import rank
 from lrcodes.repair import locate_group, repair_coordinate
 from lrcodes.verify import (
     brute_force_distance,
@@ -159,19 +160,53 @@ def test_dual_vector_annihilates_codewords(ref_spec):
 
 
 def test_verify_shortening(ref_spec):
-    assert verify_shortening(ref_spec, 1000)
+    assert verify_shortening(ref_spec)
+
+
+def _tampered_specs(spec):
+    F = spec.field
+    # B is no longer the root set of h_B: the words miss zeros on B
+    other_B = spec.partition.blocks[0][:2]
+    yield replace(spec, partition=replace(spec.partition, B=other_B))
+    # x * g_tilde still vanishes on B, but the top slot exceeds the degree cap
+    g_tilde = tuple(poly_mul(F, [0, 1], spec.good.g_tilde))
+    yield replace(spec, good=replace(spec.good, g_tilde=g_tilde))
+    # r + 1 lowers the cap k' + ceil(k'/r) - 2 to one below the top slot's degree
+    yield replace(spec, params=replace(spec.params, r=spec.params.r + 1))
 
 
 def test_verify_shortening_rejects_tampered_spec(ref_spec):
-    F = ref_spec.field
-    # B is no longer the root set of h_B: the words miss zeros on B
-    other_B = ref_spec.partition.blocks[0][:2]
-    bad = replace(ref_spec, partition=replace(ref_spec.partition, B=other_B))
-    assert not verify_shortening(bad, 100)
-    # x * g_tilde still vanishes on B, but the top slot exceeds the degree cap
-    g_tilde = tuple(poly_mul(F, [0, 1], ref_spec.good.g_tilde))
-    bad = replace(ref_spec, good=replace(ref_spec.good, g_tilde=g_tilde))
-    assert not verify_shortening(bad, 100)
+    for bad in _tampered_specs(ref_spec):
+        assert not verify_shortening(bad)
+
+
+def _embeds_by_rank(spec):
+    # independent oracle: scalar evaluation of every unit message's
+    # polynomial on all block points; the words must be zero on B and lie
+    # in the column space of the Vandermonde matrix of degrees 0..cap
+    F, p = spec.field, spec.params
+    points = [x for block in spec.partition.blocks for x in block]
+    cap = p.k_prime + -(-p.k_prime // p.r) - 2
+    words = []
+    for row in range(p.k):
+        f = assemble_polynomial([int(i == row) for i in range(p.k)], spec)
+        words.append([poly_eval(F, f, x) for x in points])
+    if any(w[points.index(b)] for w in words for b in spec.partition.B):
+        return False
+    vandermonde = [[F.pow(x, e) for e in range(cap + 1)] for x in points]
+    augmented = [v + [w[j] for w in words] for j, v in enumerate(vandermonde)]
+    return rank(F, augmented) == rank(F, vandermonde)
+
+
+def test_verify_shortening_matches_rank_reference(grid_specs, ref_spec):
+    specs = [spec for _, spec in random.Random(11).sample(grid_specs, 25)]
+    specs += [build_code(validate_params(*c)) for c in ((65536, 62, 40, 7), (65521, 118, 80, 4))]
+    for spec in specs:
+        assert _embeds_by_rank(spec)
+        assert verify_shortening(spec)
+    for bad in _tampered_specs(ref_spec):
+        assert not _embeds_by_rank(bad)
+        assert not verify_shortening(bad)
 
 
 def test_exhaustive_erasure(ref_spec):
