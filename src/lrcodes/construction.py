@@ -9,9 +9,9 @@ codeword is the value vector on the remaining n points.
 
 build_code evaluates that structure once, with the field's vector
 kernels, into the generator matrix G: one row per message slot.  encode
-is msg . G and nothing else; assemble_polynomial is the independent
-polynomial path that the verify module checks G and the shortening
-against.
+is msg . G and nothing else; slot_polynomials and assemble_polynomial
+are the independent polynomial path that the verify module checks G
+and the shortening against.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .field import (
     poly_mul,
     poly_scale,
     poly_shift,
-    poly_trim,
 )
 from .goodpoly import (
     MULTIPLICATIVE,
@@ -154,24 +153,35 @@ def _check_message(msg: Sequence[int], spec: CodeSpec) -> None:
         spec.field.check(x)
 
 
-def assemble_polynomial(msg: Sequence[int], spec: CodeSpec) -> list[int]:
-    """The codeword polynomial f of the message; deg f <= k' + ceil(k'/r) - 2.
+def slot_polynomials(spec: CodeSpec) -> list[list[int]]:
+    """One polynomial per message slot: x^i * g_tilde^j for a-slot (i, j),
+    then x^b * h_B for b-slot b.  Unit message i's polynomial is entry i.
 
-    This is the polynomial path that verify checks the stored G against.
+    The powers of g_tilde are built once per call; nothing is cached,
+    so every caller recomputes them from the spec it is given.
     """
-    _check_message(msg, spec)
     F, layout = spec.field, spec.layout
     gt_powers: list[list[int]] = [[1]]
     max_j = max((j for _, j in layout.a_slots), default=0)
     for _ in range(max_j):
         gt_powers.append(poly_mul(F, gt_powers[-1], spec.good.g_tilde))
+    slots = [poly_shift(gt_powers[j], i) for i, j in layout.a_slots]
+    slots += [poly_shift(spec.h_B, b) for b in range(layout.b_count)]
+    return slots
+
+
+def assemble_polynomial(msg: Sequence[int], spec: CodeSpec) -> list[int]:
+    """The codeword polynomial f of the message, sum_i msg[i] * slot_i;
+    deg f <= k' + ceil(k'/r) - 2.
+
+    This is the polynomial path that verify checks the stored G against.
+    """
+    _check_message(msg, spec)
+    F = spec.field
     f: list[int] = []
-    for (i, j), a in zip(layout.a_slots, msg):
+    for slot, a in zip(slot_polynomials(spec), msg):
         if a:
-            f = poly_add(F, f, poly_shift(poly_scale(F, a, gt_powers[j]), i))
-    b_part = poly_trim(msg[len(layout.a_slots):])
-    if b_part:
-        f = poly_add(F, f, poly_mul(F, spec.h_B, b_part))
+            f = poly_add(F, f, poly_scale(F, a, slot))
     return f
 
 

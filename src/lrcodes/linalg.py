@@ -1,17 +1,26 @@
 """Dense linear algebra over a Field: elimination and rank.
 
-Matrices come in and go out as lists of row lists of canonical field
-ints.  Everything here is exact.  Elimination runs on an int64 numpy
-copy with the field's vector kernels (Field.div_vec, Field.isub_mul):
-one vectorised Gauss-Jordan step per pivot over the columns from the
-pivot on.
+Everything here is exact.  Elimination runs on an int64 numpy copy with
+the field's vector kernels (Field.div_vec, Field.isub_mul): one
+vectorised Gauss-Jordan step per pivot over the columns from the pivot
+on.  row_reduce takes one system as lists of row lists of canonical
+field ints and returns lists; row_reduce_stack takes an (S, m, c) array
+of S systems of one shape and reduces them all in the same steps, one
+per column, which is how the erasure oracle decodes a whole chunk of
+patterns at once.  The choice follows from the input shape: a single
+system stays on row_reduce, because the stack's per-system bookkeeping
+(a pivot search across the stack, fancy-indexed row moves, an array
+inverse by Fermat exponentiation over GF(p)) costs more than it saves
+when S = 1.  On a 2-core Xeon, a stack of one took 10.0 ms against
+row_reduce's 2.8 ms on a 100 x 81 decode system over GF(65521), and
+2.45 ms against 1.19 ms on a 45 x 41 one over GF(2^16).
 
 Over GF(p) the steps leave entries unreduced; only the pivot column is
 reduced when it is searched.  Each step moves an entry by less than
 p^2 < 2^32, and normalising a pivot row multiplies it by less than 2^16,
 so int64 stays exact while fewer than 2^15 steps pass between two
 reductions of the whole matrix; it is reduced every _REDUCE_EVERY steps
-and at the end.
+and at the end.  The same holds per system in a stack.
 """
 
 from __future__ import annotations
@@ -67,3 +76,46 @@ def row_reduce(F: Field, rows: Sequence[Sequence[int]]) -> tuple[Matrix, list[in
 def rank(F: Field, rows: Sequence[Sequence[int]]) -> int:
     _, pivots = row_reduce(F, rows)
     return len(pivots)
+
+
+def row_reduce_stack(F: Field, systems: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced row echelon form of every system in an (S, m, c) int64
+    array of canonical elements, and an (S, c) boolean pivot mask.
+
+    System s's i-th pivot column (in order) has its pivot in row i, so
+    its reduced rows and pivots are row_reduce's for that system alone.
+    """
+    m = np.array(systems, dtype=np.int64)
+    nsys, nrows, ncols = m.shape
+    ranks = np.zeros(nsys, dtype=np.int64)
+    pivots = np.zeros((nsys, ncols), dtype=bool)
+    below = np.arange(nrows)[None, :]
+    for col in range(ncols):
+        column = F.reduce_vec(m[:, :, col])
+        candidates = (column != 0) & (below >= ranks[:, None])
+        found = candidates.any(axis=1)
+        if not found.any():
+            continue
+        if found.all():
+            sel, sub, factors = slice(None), m, column
+        else:
+            sel = np.flatnonzero(found)
+            sub, factors = m[sel], column[sel]
+        each = np.arange(len(sub))
+        pivot_row = candidates[sel].argmax(axis=1)
+        rank = ranks[sel]
+        # as in row_reduce: the pivot row goes to row rank, whose old row
+        # moves down to the pivot's place, and only columns from col on change
+        block = sub[:, :, col:]
+        pivot = F.div_vec(block[each, pivot_row], factors[each, pivot_row][:, None])
+        block[each, pivot_row] = block[each, rank]
+        factors[each, pivot_row] = factors[each, rank]
+        F.isub_mul(block, factors[:, :, None], pivot[:, None, :])
+        block[each, rank] = pivot
+        if sub is not m:
+            m[sel] = sub
+        ranks[sel] += 1
+        pivots[sel, col] = True
+        if (col + 1) % _REDUCE_EVERY == 0:
+            m[:] = F.reduce_vec(m)
+    return F.reduce_vec(m), pivots

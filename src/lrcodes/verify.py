@@ -15,25 +15,27 @@ aborts with BudgetExceeded.
 Codeword batches are computed with the field's numpy kernels
 (Field.matmul, Field.add_vec): prime fields reduce int64 products mod
 p, binary fields gather from log/antilog tables of O(q) size, so no
-object here grows with q^2.
+object here grows with q^2.  The erasure oracle decodes its patterns in
+stacked chunks, one linalg.row_reduce_stack per chunk, capped at
+DEFAULT_CHUNK_CAP symbols like the distance table.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from math import comb
 from typing import Sequence
 
 import numpy as np
 
 from .bounds import predicted_distance
-from .construction import CodeSpec, assemble_polynomial, encode
-from .errors import BudgetExceeded, Unrecoverable
+from .construction import CodeSpec, slot_polynomials
+from .errors import BudgetExceeded, LrcError
 from .field import lagrange_weights, poly_eval_vec
-from .linalg import rank as _rank
-from .repair import apply_erasures, decode_erasures, erasure_pattern, locate_group
+from .linalg import rank as _rank, row_reduce_stack
+from .repair import locate_group
 
 DEFAULT_CHUNK_CAP = 1 << 20
 
@@ -66,14 +68,9 @@ class VerificationReport:
 
 def _unit_words(spec: CodeSpec, points: Sequence[int]) -> np.ndarray:
     """k x len(points) array: row i holds the values at *points* of unit
-    message i's polynomial from assemble_polynomial (G is never read)."""
-    k = spec.params.k
+    message i's polynomial, slot_polynomials(spec)[i] (G is never read)."""
     xs = np.array(points, dtype=np.int64)
-    rows = []
-    for row in range(k):
-        unit = [0] * k
-        unit[row] = 1
-        rows.append(poly_eval_vec(spec.field, assemble_polynomial(unit, spec), xs))
+    rows = [poly_eval_vec(spec.field, slot, xs) for slot in slot_polynomials(spec)]
     return np.array(rows, dtype=np.int64)
 
 
@@ -215,21 +212,43 @@ def exhaustive_erasure_test(
 ) -> bool:
     """Whether every e-subset of coordinates can be erased and decoded.
 
-    Each pattern is tried on a fresh random codeword; any Unrecoverable
-    or wrong round-trip makes the answer False.
+    Each pattern is tried on a fresh random codeword (k draws of
+    random.Random(seed) per pattern, in combinations order).  Patterns
+    are decoded in chunks of at most DEFAULT_CHUNK_CAP symbols of stacked
+    systems [G[:, known]^T | y], one row_reduce_stack per chunk; a
+    pattern passes only when its pivots are exactly the k message
+    columns and the solution is the message sent.  Anything else (rank
+    below k, an inconsistent word, a wrong solution: what decode_erasures
+    reports as Unrecoverable or a wrong round trip) makes the answer False.
     """
     p = spec.params
-    patterns = comb(p.n, e)
+    n, k = p.n, p.k
+    if not isinstance(e, int) or isinstance(e, bool) or not 0 <= e <= n:
+        raise LrcError(f"erasure count must be an integer in [0, {n}], got {e!r}")
+    patterns = comb(n, e)
     if patterns > budget:
         raise BudgetExceeded(f"erasure test needs budget >= {patterns} patterns, got {budget}")
+    F = spec.field
+    G = np.array(spec.G, dtype=np.int64)
     rng = random.Random(seed)
-    for subset in combinations(range(1, p.n + 1), e):
-        msg = [rng.randrange(p.q) for _ in range(p.k)]
-        received = apply_erasures(encode(msg, spec), erasure_pattern(spec, subset))
-        try:
-            if decode_erasures(spec, received) != msg:
-                return False
-        except Unrecoverable:
+    subsets = combinations(range(n), e)
+    size = max(1, DEFAULT_CHUNK_CAP // ((n - e) * (k + 1) or 1))
+    while chunk := list(islice(subsets, size)):
+        s = len(chunk)
+        msgs = np.array([rng.randrange(p.q) for _ in range(s * k)], dtype=np.int64).reshape(s, k)
+        words = F.matmul(msgs, G)
+        known = np.ones((s, n), dtype=bool)
+        known[np.arange(s)[:, None], np.array(chunk, dtype=np.int64).reshape(s, e)] = False
+        known_cols = np.nonzero(known)[1].reshape(s, n - e)
+        systems = np.concatenate(
+            [G.T[known_cols], np.take_along_axis(words, known_cols, axis=1)[:, :, None]],
+            axis=2,
+        )
+        reduced, pivots = row_reduce_stack(F, systems)
+        # pivots exactly on the k message columns, then row i solves column i
+        if not (pivots[:, :k].all() and not pivots[:, k].any()):
+            return False
+        if not np.array_equal(reduced[:, :k, k], msgs):
             return False
     return True
 

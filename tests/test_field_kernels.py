@@ -10,7 +10,7 @@ import pytest
 from lrcodes.errors import DivisionByZero
 from lrcodes.field import _IRREDUCIBLE, Field, binary_log_tables, smallest_primitive
 from lrcodes import linalg
-from lrcodes.linalg import row_reduce
+from lrcodes.linalg import row_reduce, row_reduce_stack
 from test_field import gf2_mul, gf2_pow, reference_mul
 
 ORDERS = [1 << e for e in range(2, 17)] + [2, 3, 13, 257, 65521]
@@ -111,6 +111,13 @@ def test_mul_div_add_vec_match_scalar(q):
     assert F.reduce_vec(acc).tolist() == [F.sub(int(x), F.mul(int(y), c)) for x, y in zip(a, b)]
     with pytest.raises(DivisionByZero):
         F.div_vec(a, 0)
+    # an array divisor, broadcast over rows as elimination uses it
+    rows, divisors = a[:300].reshape(60, 5), np.where(b[:60] == 0, 1, b[:60])
+    assert F.div_vec(rows, divisors[:, None]).tolist() == [
+        [F.div(int(x), int(y)) for x in row] for row, y in zip(rows, divisors)
+    ]
+    with pytest.raises(DivisionByZero):
+        F.div_vec(rows, b[:60, None])
 
 
 @pytest.mark.parametrize("q", [3, 65521, 256])
@@ -164,6 +171,15 @@ def test_matmul_matches_triple_loop(q):
         F.matmul(np.zeros((2, 3), dtype=np.int64), np.zeros((2, 3), dtype=np.int64))
 
 
+def _low_rank(F, rng, nrows, ncols, rank):
+    """A random nrows x ncols matrix of rank at most *rank*."""
+    basis = np.array([[rng.randrange(F.order) for _ in range(ncols)] for _ in range(rank)],
+                     dtype=np.int64).reshape(rank, ncols)
+    coef = np.array([[rng.randrange(F.order) for _ in range(rank)] for _ in range(nrows)],
+                    dtype=np.int64).reshape(nrows, rank)
+    return F.matmul(coef, basis).tolist()
+
+
 @pytest.mark.parametrize("q", ORDERS)
 def test_row_reduce_matches_scalar_gauss_jordan(q):
     F = Field(q)
@@ -173,12 +189,8 @@ def test_row_reduce_matches_scalar_gauss_jordan(q):
     cases = [[], [[]], [[0, 0, 0]], [[0] * 4 for _ in range(3)]]
     cases.append([[x % q for x in r] for r in sparse])
     for _ in range(4):
-        nrows, ncols, rank = rng.randrange(1, 8), rng.randrange(1, 8), rng.randrange(0, 5)
-        basis = np.array([[rng.randrange(q) for _ in range(ncols)] for _ in range(rank)],
-                         dtype=np.int64).reshape(rank, ncols)
-        coef = np.array([[rng.randrange(q) for _ in range(rank)] for _ in range(nrows)],
-                        dtype=np.int64).reshape(nrows, rank)
-        rows = F.matmul(coef, basis).tolist()  # rank-deficient when rank < nrows
+        nrows, ncols = rng.randrange(1, 8), rng.randrange(1, 8)
+        rows = _low_rank(F, rng, nrows, ncols, rng.randrange(0, 5))  # rank-deficient when rank < nrows
         rows.insert(rng.randrange(nrows + 1), [0] * ncols)  # an all-zero row
         cases.append(rows)
         cases.append([[rng.randrange(q) for _ in range(ncols)] for _ in range(nrows)])
@@ -186,6 +198,25 @@ def test_row_reduce_matches_scalar_gauss_jordan(q):
         got = row_reduce(F, rows)
         assert got == _scalar_gauss_jordan(F, rows)
         assert all(type(x) is int for row in got[0] for x in row)
+    # the same kinds of systems stacked by shape, so that systems of one
+    # stack find their pivots in different rows and columns
+    for nrows, ncols in [(5, 4), (3, 7), (6, 6), (7, 3), (1, 1), (0, 3), (2, 0)]:
+        stack = [_low_rank(F, rng, nrows, ncols, rng.randrange(0, 5)) for _ in range(4)]
+        stack += [[[rng.randrange(q) for _ in range(ncols)] for _ in range(nrows)] for _ in range(4)]
+        if nrows and ncols:
+            stack[4][rng.randrange(nrows)] = [0] * ncols  # an all-zero row
+            zero_col = rng.randrange(ncols)
+            for row in stack[5]:
+                row[zero_col] = 0  # an all-zero column
+            stack[6] = [[0] * ncols for _ in range(nrows)]
+        if (nrows, ncols) == (5, 4):
+            stack.append([[x % q for x in r] for r in sparse])
+        reduced, pivots = row_reduce_stack(F, np.array(stack, dtype=np.int64).reshape(len(stack), nrows, ncols))
+        assert reduced.shape == (len(stack), nrows, ncols) and pivots.shape == (len(stack), ncols)
+        for rows, got_rows, got_pivots in zip(stack, reduced, pivots):
+            want_rows, want_pivots = _scalar_gauss_jordan(F, rows)
+            assert got_rows.tolist() == want_rows
+            assert np.flatnonzero(got_pivots).tolist() == want_pivots
 
 
 def test_row_reduce_with_frequent_whole_matrix_reduction(monkeypatch):

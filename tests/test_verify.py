@@ -4,16 +4,25 @@ import random
 import time
 import tracemalloc
 from dataclasses import replace
-from itertools import product
+from itertools import combinations, product
+from math import comb
 
 import numpy as np
 import pytest
 
+from lrcodes import verify
+from lrcodes.bounds import predicted_distance
 from lrcodes.construction import assemble_polynomial, build_code, encode, validate_params
-from lrcodes.errors import BudgetExceeded
+from lrcodes.errors import BudgetExceeded, LrcError, Unrecoverable
 from lrcodes.field import lagrange_weights, poly_eval, poly_mul
 from lrcodes.linalg import rank
-from lrcodes.repair import locate_group, repair_coordinate
+from lrcodes.repair import (
+    apply_erasures,
+    decode_erasures,
+    erasure_pattern,
+    locate_group,
+    repair_coordinate,
+)
 from lrcodes.verify import (
     brute_force_distance,
     exhaustive_erasure_test,
@@ -215,6 +224,64 @@ def test_exhaustive_erasure(ref_spec):
     assert not exhaustive_erasure_test(ref_spec, 4)
     with pytest.raises(BudgetExceeded):
         exhaustive_erasure_test(ref_spec, 3, budget=10)
+
+
+def test_exhaustive_erasure_refuses_bad_pattern_sizes(ref_spec):
+    # 11 > n used to pass with no pattern tried, -1 reached math.comb and
+    # True ran as one erasure
+    for e in (11, -1, True):
+        with pytest.raises(LrcError):
+            exhaustive_erasure_test(ref_spec, e)
+
+
+def _erasure_reference(spec, e, seed=0):
+    # the per-pattern oracle: one decode_erasures call per e-subset, on the
+    # same seeded messages the stacked oracle draws
+    p = spec.params
+    rng = random.Random(seed)
+    for subset in combinations(range(1, p.n + 1), e):
+        msg = [rng.randrange(p.q) for _ in range(p.k)]
+        received = apply_erasures(encode(msg, spec), erasure_pattern(spec, subset))
+        try:
+            if decode_erasures(spec, received) != msg:
+                return False
+        except Unrecoverable:
+            return False
+    return True
+
+
+def test_exhaustive_erasure_matches_per_pattern_reference(grid_specs, ref_spec, monkeypatch):
+    small = [spec for p, spec in grid_specs if comb(p.n, predicted_distance(p)) <= 1500]
+    specs = [ref_spec] + random.Random(19).sample(small, 6)
+    specs += [build_code(validate_params(*c)) for c in ((256, 14, 2, 4), (1024, 8, 2, 2))]
+    for spec in specs:
+        d = predicted_distance(spec.params)
+        assert _erasure_reference(spec, d - 1)
+        assert exhaustive_erasure_test(spec, d - 1)
+        assert not _erasure_reference(spec, d)
+        assert not exhaustive_erasure_test(spec, d)
+    # a zeroed column still round-trips every pattern that erases it, but
+    # some 3-pattern then leaves rank 4 < k
+    zeroed = replace(ref_spec, G=tuple((0,) + row[1:] for row in ref_spec.G))
+    assert not _erasure_reference(zeroed, 3)
+    assert not exhaustive_erasure_test(zeroed, 3)
+    # chunks of two patterns: the verdict does not depend on the chunking
+    monkeypatch.setattr(verify, "DEFAULT_CHUNK_CAP", 2 * 7 * 6)
+    assert exhaustive_erasure_test(ref_spec, 3)
+    assert not exhaustive_erasure_test(ref_spec, 4)
+    assert not exhaustive_erasure_test(zeroed, 3)
+
+
+# every grid code has at most 8,008 patterns at d - 1; the cap bounds the
+# test's time if the grid grows
+GRID_PATTERN_CAP = 10_000
+
+
+def test_erasure_oracle_passes_on_grid_codes(grid_specs):
+    for p, spec in grid_specs:
+        d = predicted_distance(p)
+        if comb(p.n, d - 1) <= GRID_PATTERN_CAP:
+            assert exhaustive_erasure_test(spec, d - 1, budget=GRID_PATTERN_CAP)
 
 
 def test_run_verification_report(ref_spec):
