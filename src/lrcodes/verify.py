@@ -2,7 +2,8 @@
 
 Nothing here trusts the construction: the stored generator matrix is
 compared with the construction's polynomials evaluated directly,
-distance comes from enumerating the whole message space, locality from
+distance from enumerating the whole message space up to scalar
+multiples (one message per class of nonzero multiples), locality from
 checking that each repair group's columns of the generator matrix obey
 the Lagrange weights that repair uses, shortening from the k unit
 messages' parent words (zeros on the dropped points, and the parent's
@@ -13,11 +14,11 @@ Enumeration is budget-gated; a report is either complete or the run
 aborts with BudgetExceeded.
 
 Codeword batches are computed with the field's numpy kernels
-(Field.matmul, Field.add_vec): prime fields reduce int64 products mod
-p, binary fields gather from log/antilog tables of O(q) size, so no
-object here grows with q^2.  The erasure oracle decodes its patterns in
-stacked chunks, one linalg.row_reduce_stack per chunk, capped at
-DEFAULT_CHUNK_CAP symbols like the distance table.
+(Field.mul_vec, Field.matmul, Field.add_vec): prime fields reduce int64
+products mod p, binary fields gather from log/antilog tables of O(q)
+size, so no object here grows with q^2.  The erasure oracle decodes
+its patterns in stacked chunks, one linalg.row_reduce_stack per chunk,
+capped at DEFAULT_CHUNK_CAP symbols like the distance table.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 from .bounds import predicted_distance
 from .construction import CodeSpec, slot_polynomials
 from .errors import BudgetExceeded, LrcError
-from .field import lagrange_weights, poly_eval_vec
+from .field import lagrange_weights
 from .linalg import rank as _rank, row_reduce_stack
 from .repair import locate_group
 
@@ -42,6 +43,10 @@ DEFAULT_CHUNK_CAP = 1 << 20
 
 @dataclass(frozen=True)
 class VerificationReport:
+    """One verdict per oracle.  enumerated_words is q^k - 1, the number
+    of nonzero codewords whose weight the distance search decides (it
+    walks one of every q - 1 of them, the others being their multiples)."""
+
     rank_ok: bool
     generator_ok: bool
     distance_found: int
@@ -68,10 +73,21 @@ class VerificationReport:
 
 def _unit_words(spec: CodeSpec, points: Sequence[int]) -> np.ndarray:
     """k x len(points) array: row i holds the values at *points* of unit
-    message i's polynomial, slot_polynomials(spec)[i] (G is never read)."""
+    message i's polynomial, slot_polynomials(spec)[i] (G is never read).
+
+    One F.matmul of the k x D slot-coefficient matrix with the D x
+    len(points) Vandermonde matrix of the points, D the longest slot."""
+    F = spec.field
+    slots = slot_polynomials(spec)
+    D = max(len(slot) for slot in slots)
+    coeffs = np.zeros((len(slots), D), dtype=np.int64)
+    for i, slot in enumerate(slots):
+        coeffs[i, : len(slot)] = slot
     xs = np.array(points, dtype=np.int64)
-    rows = [poly_eval_vec(spec.field, slot, xs) for slot in slot_polynomials(spec)]
-    return np.array(rows, dtype=np.int64)
+    powers = [np.ones_like(xs)]
+    for _ in range(D - 1):
+        powers.append(F.mul_vec(powers[-1], xs))
+    return F.matmul(coeffs, np.array(powers))
 
 
 def generator_matches(spec: CodeSpec) -> bool:
@@ -92,13 +108,12 @@ def brute_force_distance(
 ) -> int:
     """Exact minimum weight over all q^k - 1 nonzero codewords.
 
-    Messages are enumerated digit by digit: the low digits are expanded
-    into one table of at most chunk_cap symbols (codewords times n), the
-    high digits are walked one combination at a time and broadcast
-    against that table.  When even one digit's q codewords exceed the
-    cap, that digit's table is built and walked in slices of
-    chunk_cap // n codewords, so memory stays bounded for any q and n.
-    The answer does not depend on chunk_cap (it only shapes the batches).
+    Scaling a codeword by c != 0 keeps its weight, so one message per
+    scalar class decides all of them: the (q^k - 1)/(q - 1) messages
+    whose highest nonzero digit is 1 (see minimum_weight_word).  The
+    budget still gates q^k, the size of the space whose minimum this is.
+    Memory stays within about chunk_cap symbols for any q and n, and the
+    answer does not depend on chunk_cap (it only shapes the batches).
     """
     weight, _ = minimum_weight_word(spec, budget, chunk_cap)
     return weight
@@ -107,7 +122,21 @@ def brute_force_distance(
 def minimum_weight_word(
     spec: CodeSpec, budget: int, chunk_cap: int = DEFAULT_CHUNK_CAP
 ) -> tuple[int, list[int]]:
-    """Minimum nonzero weight and one message achieving it."""
+    """Minimum nonzero weight and one message achieving it, normalised
+    so that its highest nonzero digit is 1.
+
+    For each position top of that digit, the digits above it are 0 and
+    those below it are free.  Digits 0..L-1 come from one table of all
+    q^L low messages, digit 0 turning fastest, with L = min(k - 1, the
+    largest L with q^L * n <= chunk_cap), so its first q^min(top, L)
+    rows are exactly the messages with no digit at or above min(top, L):
+    every top reads a prefix of the same table, and only digits
+    L..top-1 are walked, one combination at a time broadcast against it.
+    The table is built one digit at a time, adding the q multiples of
+    G[d] to the previous table.  When even digit 0's q codewords exceed
+    the cap (L = 1), the table is built and read in slices of
+    chunk_cap // n digit-0 values.
+    """
     F = spec.field
     p = spec.params
     q, k, n = p.q, p.k, p.n
@@ -115,28 +144,33 @@ def minimum_weight_word(
     if total > budget:
         raise BudgetExceeded(f"distance search needs budget >= {total} (q^k), got {budget}")
     G = np.array(spec.G, dtype=np.int64)
-    # digits 0..low-1 go into the in-memory table, the rest are walked
-    low = 1
-    while low < k and q ** (low + 1) * n <= chunk_cap:
+    low = min(1, k - 1)
+    while low < k - 1 and q ** (low + 1) * n <= chunk_cap:
         low += 1
     rows = max(1, chunk_cap // n)
     best_w, best_m = n + 1, None
-    # more than one slice only when a single digit's table exceeds the cap
+    # more than one slice only when low = 1 and digit 0's table exceeds the cap
     for start in range(0, q**low, rows):
         # row i encodes the message whose digit d is ((start + i) // q^d) % q
-        low_msgs = np.arange(start, min(start + rows, q**low))[:, None] // q ** np.arange(low) % q
-        table = F.matmul(low_msgs, G[:low])
-        # reversed, so the lowest high digit turns fastest
-        for rev_high in product(range(q), repeat=k - low):
-            high = rev_high[::-1]
-            base = F.matmul(np.array([high], dtype=np.int64), G[low:])
-            weights = np.count_nonzero(F.add_vec(base, table), axis=1)
-            if start == 0 and not any(high):
-                weights[0] = n + 1  # the all-zero message does not count
-            i = int(weights.argmin())
-            if weights[i] < best_w:
-                best_w = int(weights[i])
-                best_m = low_msgs[i].tolist() + list(high)
+        table = np.zeros((1, n), dtype=np.int64)
+        for d in range(low):
+            values = np.arange(start, min(start + rows, q)) if d == 0 else np.arange(q)
+            table = F.add_vec(F.mul_vec(values[:, None, None], G[d]), table).reshape(-1, n)
+        for top in range(k):
+            # digits below lo come from the table's first q^lo rows
+            lo = min(top, low)
+            size = min(q**lo - start, len(table))
+            if size <= 0:
+                continue
+            for walked in product(range(q), repeat=top - lo):
+                high = np.array([walked + (1,)], dtype=np.int64)
+                base = F.matmul(high, G[lo : top + 1])
+                weights = np.count_nonzero(F.add_vec(base, table[:size]), axis=1)
+                i = int(weights.argmin())
+                if weights[i] < best_w:
+                    best_w = int(weights[i])
+                    digits = [(start + i) // q**d % q for d in range(lo)]
+                    best_m = digits + list(walked) + [1] + [0] * (k - 1 - top)
     assert best_m is not None
     return best_w, best_m
 
