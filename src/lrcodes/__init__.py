@@ -56,10 +56,7 @@ from .goodpoly import (
 )
 from .repair import (
     ERASED,
-    ErasurePattern,
-    apply_erasures,
     decode_erasures,
-    erasure_pattern,
     locate_group,
     repair_coordinate,
     repair_local,
@@ -84,7 +81,6 @@ __all__ = [
     "DivisionByZero",
     "DuplicateAbscissa",
     "ERASED",
-    "ErasurePattern",
     "Field",
     "FieldTooSmall",
     "GoodPolynomial",
@@ -106,14 +102,12 @@ __all__ = [
     "Unrecoverable",
     "UnsupportedField",
     "VerificationReport",
-    "apply_erasures",
     "assemble_polynomial",
     "brute_force_distance",
     "build_code",
     "coset_partition",
     "decode_erasures",
     "encode",
-    "erasure_pattern",
     "exhaustive_erasure_test",
     "find_subgroup",
     "good_polynomial",

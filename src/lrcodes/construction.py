@@ -8,10 +8,12 @@ every codeword polynomial vanishes on the t dropped points B; the
 codeword is the value vector on the remaining n points.
 
 build_code evaluates that structure once, with the field's vector
-kernels, into the generator matrix G: one row per message slot.  encode
-is msg . G and nothing else; slot_polynomials and assemble_polynomial
-are the independent polynomial path that the verify module checks G
-and the shortening against.
+kernels, into the generator matrix G: one row per message slot, held
+by CodeSpec as one read-only k x n int64 array.  encode is msg . G and
+nothing else.  slot_polynomials is the independent polynomial path:
+the verify module checks G and the shortening through it, and
+assemble_polynomial (the message's whole codeword polynomial) is the
+reference the tests check them with.
 """
 
 from __future__ import annotations
@@ -71,19 +73,22 @@ class MessageLayout:
     """How the k message symbols map to polynomial coefficients.
 
     a_slots lists (i, j) pairs, each feeding the coefficient of
-    x^i * g_tilde^j; the remaining b_count symbols feed
-    h_B * (b_0 + b_1 x + ... ).  S_values holds the per-i slot counts
-    from the defining formula (which go negative when k+t < r; negative
-    counts contribute no slots and the b part absorbs all k symbols).
+    x^i * g_tilde^j, slot_count(k', r, i) of them per i (none when that
+    count is negative, as when k+t < r: the b part then absorbs all k
+    symbols); the remaining b_count symbols feed h_B * (b_0 + b_1 x + ...).
     """
 
     a_slots: tuple[tuple[int, int], ...]
     b_count: int
-    S_values: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CodeSpec:
+    """A built code.  G is its k x n generator matrix: whatever rows it
+    is given become one read-only int64 array here, so every consumer
+    slices the same array.  (No value equality: an array field has none.)
+    """
+
     params: CodeParams
     field: Field
     subgroup: SubgroupSpec
@@ -92,7 +97,12 @@ class CodeSpec:
     h_B: tuple[int, ...]
     eval_points: tuple[int, ...]
     layout: MessageLayout
-    G: tuple[tuple[int, ...], ...]
+    G: np.ndarray
+
+    def __post_init__(self) -> None:
+        G = np.array(self.G, dtype=np.int64)
+        G.flags.writeable = False
+        object.__setattr__(self, "G", G)
 
 
 def slot_count(k_prime: int, r: int, i: int) -> int:
@@ -136,14 +146,13 @@ def validate_params(q: int, n: int, k: int, r: int) -> CodeParams:
 
 def message_layout(params: CodeParams) -> MessageLayout:
     kp, r = params.k_prime, params.r
-    S_values = tuple(slot_count(kp, r, i) for i in range(r))
-    a_slots = tuple((i, j) for i in range(r) for j in range(1, S_values[i] + 1))
+    a_slots = tuple((i, j) for i in range(r) for j in range(1, slot_count(kp, r, i) + 1))
     b_count = params.k - len(a_slots)
     if not 0 <= b_count <= params.s - 1 or (kp >= r and b_count != params.s - 1):
         raise InternalInconsistency(
             f"layout miscount: {len(a_slots)} a-slots and {b_count} b-slots for k = {params.k}"
         )
-    return MessageLayout(a_slots=a_slots, b_count=b_count, S_values=S_values)
+    return MessageLayout(a_slots=a_slots, b_count=b_count)
 
 
 def _check_message(msg: Sequence[int], spec: CodeSpec) -> None:
@@ -174,7 +183,8 @@ def assemble_polynomial(msg: Sequence[int], spec: CodeSpec) -> list[int]:
     """The codeword polynomial f of the message, sum_i msg[i] * slot_i;
     deg f <= k' + ceil(k'/r) - 2.
 
-    This is the polynomial path that verify checks the stored G against.
+    The tests check G and the shortening against it; verify reads
+    slot_polynomials directly.
     """
     _check_message(msg, spec)
     F = spec.field
@@ -197,7 +207,7 @@ def _generator_matrix(
     g_tilde: Sequence[int],
     h_B: Sequence[int],
     eval_points: Sequence[int],
-) -> tuple[tuple[int, ...], ...]:
+) -> np.ndarray:
     """One row per message slot, valued at the evaluation points x:
     x^i * g_tilde(x)^j for a-slot (i, j), then x^b * h_B(x) for b-slot b."""
     x = np.array(eval_points, dtype=np.int64)
@@ -213,7 +223,7 @@ def _generator_matrix(
     hb = poly_eval_vec(F, h_B, x)
     rows = [F.mul_vec(x_powers[i], gt_powers[j]) for i, j in layout.a_slots]
     rows += [F.mul_vec(x_powers[b], hb) for b in range(layout.b_count)]
-    return tuple(tuple(row.tolist()) for row in rows)
+    return np.array(rows)
 
 
 def build_code(params: CodeParams) -> CodeSpec:

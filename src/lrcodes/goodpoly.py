@@ -33,7 +33,6 @@ class PartitionSpec:
 
     blocks: tuple[tuple[int, ...], ...]
     B: tuple[int, ...]
-    n_bar: int
 
 
 @dataclass(frozen=True)
@@ -108,8 +107,7 @@ def make_partition(blocks: Sequence[tuple[int, ...]], t: int) -> PartitionSpec:
     """Attach the punctured set B: the t largest elements of the last block."""
     last = blocks[-1]
     B = tuple(sorted(last)[len(last) - t:]) if t else ()
-    size = len(blocks[0])
-    return PartitionSpec(tuple(blocks), B, n_bar=len(blocks) * size)
+    return PartitionSpec(tuple(blocks), B)
 
 
 def good_polynomial(F: Field, H: SubgroupSpec) -> list[int]:

@@ -3,10 +3,10 @@
 Everything here is exact.  Elimination runs on an int64 numpy copy with
 the field's vector kernels (Field.div_vec, Field.isub_mul): one
 vectorised Gauss-Jordan step per pivot over the columns from the pivot
-on.  row_reduce takes one system as lists of row lists of canonical
-field ints and returns lists; row_reduce_stack takes an (S, m, c) array
-of S systems of one shape and reduces them all in the same steps, one
-per column, which is how the erasure oracle decodes a whole chunk of
+on.  row_reduce takes one system of canonical field ints, as row lists
+or a 2-D array, and returns lists; row_reduce_stack takes an (S, m, c)
+array of S systems of one shape and reduces them all in the same steps,
+one per column, which is how the erasure oracle decodes a whole chunk of
 patterns at once.  The choice follows from the input shape: a single
 system stays on row_reduce, because the stack's per-system bookkeeping
 (a pivot search across the stack, fancy-indexed row moves, an array
@@ -37,8 +37,10 @@ _REDUCE_EVERY = 1 << 14
 
 
 def row_reduce(F: Field, rows: Sequence[Sequence[int]]) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and the list of pivot column indices."""
-    if not rows:
+    """Reduced row echelon form and the list of pivot column indices.
+
+    rows is a list of row lists or a 2-D array; the result is lists."""
+    if len(rows) == 0:
         return [], []
     m = np.array(rows, dtype=np.int64)
     nrows, ncols = m.shape

@@ -11,8 +11,9 @@ patterns go through a generic linear solve against the generator matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .construction import CodeSpec
 from .errors import IndexOutOfRange, LengthMismatch, LrcError, Unrecoverable
@@ -20,13 +21,6 @@ from .field import lagrange_weights
 from .linalg import row_reduce
 
 ERASED = None
-
-
-@dataclass(frozen=True)
-class ErasurePattern:
-    """Distinct 1-based coordinate indices to knock out, sorted."""
-
-    erased: tuple[int, ...]
 
 
 def _check_index(spec: CodeSpec, i: int) -> None:
@@ -39,21 +33,6 @@ def _check_index(spec: CodeSpec, i: int) -> None:
 def _check_length(spec: CodeSpec, received: Sequence[int | None]) -> None:
     if len(received) != spec.params.n:
         raise LengthMismatch(f"received word length {len(received)} != n = {spec.params.n}")
-
-
-def erasure_pattern(spec: CodeSpec, indices: Sequence[int]) -> ErasurePattern:
-    for i in indices:
-        _check_index(spec, i)
-    if len(set(indices)) != len(indices):
-        raise LrcError(f"repeated coordinate in erasure pattern {list(indices)}")
-    return ErasurePattern(tuple(sorted(indices)))
-
-
-def apply_erasures(codeword: Sequence[int], pattern: ErasurePattern) -> list[int | None]:
-    received: list[int | None] = list(codeword)
-    for i in pattern.erased:
-        received[i - 1] = ERASED
-    return received
 
 
 def locate_group(spec: CodeSpec, i: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
@@ -137,7 +116,7 @@ def decode_erasures(spec: CodeSpec, received: Sequence[int | None]) -> list[int]
     for j in known:
         spec.field.check(received[j])
     # rows of the transposed restricted system: one equation per known column
-    augmented = [[spec.G[row][j] for row in range(p.k)] + [received[j]] for j in known]
+    augmented = np.column_stack([spec.G[:, known].T, [received[j] for j in known]])
     reduced, pivots = row_reduce(spec.field, augmented)
     if p.k in pivots:
         raise Unrecoverable("received word is not consistent with any codeword")
@@ -146,7 +125,5 @@ def decode_erasures(spec: CodeSpec, received: Sequence[int | None]) -> list[int]
             f"{p.n - len(known)} erasures leave the message underdetermined "
             f"(rank {len(pivots)} < k = {p.k})"
         )
-    msg = [0] * p.k
-    for eq, col in enumerate(pivots):
-        msg[col] = reduced[eq][p.k]
-    return msg
+    # the pivots are exactly the k message columns, so row i solves column i
+    return [reduced[i][p.k] for i in range(p.k)]

@@ -97,7 +97,7 @@ def generator_matches(spec: CodeSpec) -> bool:
     encode and decode both use G, so a G that differs from the
     construction round-trips cleanly; only this check sees it.
     """
-    return np.array_equal(_unit_words(spec, spec.eval_points), np.array(spec.G, dtype=np.int64))
+    return np.array_equal(_unit_words(spec, spec.eval_points), spec.G)
 
 
 # -- distance by exhaustive enumeration --------------------------------
@@ -143,7 +143,7 @@ def minimum_weight_word(
     total = q**k
     if total > budget:
         raise BudgetExceeded(f"distance search needs budget >= {total} (q^k), got {budget}")
-    G = np.array(spec.G, dtype=np.int64)
+    G = spec.G
     low = min(1, k - 1)
     while low < k - 1 and q ** (low + 1) * n <= chunk_cap:
         low += 1
@@ -190,7 +190,7 @@ def verify_locality(spec: CodeSpec) -> bool:
     of every coordinate in the block is a multiple of it.
     """
     F = spec.field
-    G = np.array(spec.G, dtype=np.int64)
+    G = spec.G
     pos = {alpha: j for j, alpha in enumerate(spec.eval_points)}
     dropped = set(spec.partition.B)
     for block in spec.partition.blocks:
@@ -263,7 +263,7 @@ def exhaustive_erasure_test(
     if patterns > budget:
         raise BudgetExceeded(f"erasure test needs budget >= {patterns} patterns, got {budget}")
     F = spec.field
-    G = np.array(spec.G, dtype=np.int64)
+    G = spec.G
     rng = random.Random(seed)
     subsets = combinations(range(n), e)
     size = max(1, DEFAULT_CHUNK_CAP // ((n - e) * (k + 1) or 1))

@@ -8,6 +8,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from lrcodes.cli import load_spec_file, main, spec_to_dict, write_spec_file
@@ -67,7 +68,18 @@ def test_spec_file_schema(code_file):
 def test_load_round_trip(code_file):
     built = build_code(validate_params(13, 10, 5, 3))
     loaded = load_spec_file(code_file)
-    assert loaded == built
+    assert spec_to_dict(loaded) == spec_to_dict(built)
+
+
+def test_generator_matrix_is_one_read_only_array(code_file):
+    built = build_code(validate_params(13, 10, 5, 3))
+    rows = tuple(tuple(row) for row in built.G.tolist())
+    for spec in (built, load_spec_file(code_file), replace(built, G=rows)):
+        assert isinstance(spec.G, np.ndarray)
+        assert spec.G.dtype == np.int64
+        assert spec.G.shape == (5, 10)
+        assert not spec.G.flags.writeable
+        assert np.array_equal(spec.G, built.G)
 
 
 # sha256 of construct output, fixed when the generator matrix was still
@@ -86,7 +98,7 @@ def test_construct_output_is_golden(tmp_path, capsys, code):
     assert main(["construct", "--q", q, "--n", n, "--k", k, "--r", r, "--out", str(path)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN[code]
-    assert load_spec_file(path) == build_code(validate_params(*code))
+    assert spec_to_dict(load_spec_file(path)) == spec_to_dict(build_code(validate_params(*code)))
 
 
 def test_load_rejects_corruption(tmp_path, code_file):
@@ -236,10 +248,19 @@ def test_decode_unrecoverable_exit(capsys, code_file):
 
 def test_verify_command(capsys, code_file):
     assert main(["verify", "--spec", str(code_file)]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["generator_ok"] is True
-    assert doc["all_ok"] is True
-    assert doc["distance_found"] == 4
+    assert capsys.readouterr().out == (
+        "{\n"
+        '  "rank_ok": true,\n'
+        '  "generator_ok": true,\n'
+        '  "distance_found": 4,\n'
+        '  "distance_expected": 4,\n'
+        '  "locality_ok": true,\n'
+        '  "shortening_ok": true,\n'
+        '  "erasure_ok": true,\n'
+        '  "enumerated_words": 371292,\n'
+        '  "all_ok": true\n'
+        "}\n"
+    )
 
 
 def test_verify_detects_tampering(capsys, tmp_path, code_file):

@@ -9,6 +9,7 @@ from lrcodes.construction import (
     build_code,
     encode,
     message_layout,
+    slot_count,
     validate_params,
 )
 from lrcodes.errors import (
@@ -60,14 +61,14 @@ def test_validate_params_refuses_bools(args):
 
 def test_message_layout_reference():
     layout = message_layout(validate_params(13, 10, 5, 3))
-    assert layout.S_values == (2, 1, 1)
+    assert [slot_count(7, 3, i) for i in range(3)] == [2, 1, 1]
     assert layout.a_slots == ((0, 1), (0, 2), (1, 1), (2, 1))
     assert layout.b_count == 1
 
 
 def test_message_layout_divisible():
     layout = message_layout(validate_params(13, 12, 6, 3))
-    assert layout.S_values == (1, 1, 1)
+    assert [slot_count(6, 3, i) for i in range(3)] == [1, 1, 1]
     assert len(layout.a_slots) == 3
     assert layout.b_count == 3
 

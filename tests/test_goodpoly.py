@@ -145,7 +145,7 @@ def test_normalize_gamma_detects_non_coset_block():
     from lrcodes.goodpoly import PartitionSpec
 
     F = Field(13)
-    bad = PartitionSpec(blocks=((1, 5, 8, 12), (2, 3, 4, 11)), B=(), n_bar=8)
+    bad = PartitionSpec(blocks=((1, 5, 8, 12), (2, 3, 4, 11)), B=())
     with pytest.raises(NotConstantOnBlocks):
         normalize_gamma(F, [0, 0, 0, 0, 1], bad)
 
@@ -156,4 +156,4 @@ def test_make_partition_takes_largest_of_last_block():
     partition = make_partition(coset_partition(F, H, 3), t=2)
     assert partition.blocks[-1] == (4, 6, 7, 9)
     assert partition.B == (7, 9)
-    assert partition.n_bar == 12
+    assert sum(map(len, partition.blocks)) == 12

@@ -4,7 +4,7 @@ import random
 import time
 import tracemalloc
 from dataclasses import replace
-from itertools import combinations, product
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -16,13 +16,7 @@ from lrcodes.construction import assemble_polynomial, build_code, encode, valida
 from lrcodes.errors import BudgetExceeded, LrcError, Unrecoverable
 from lrcodes.field import lagrange_weights, poly_eval, poly_mul
 from lrcodes.linalg import rank
-from lrcodes.repair import (
-    apply_erasures,
-    decode_erasures,
-    erasure_pattern,
-    locate_group,
-    repair_coordinate,
-)
+from lrcodes.repair import decode_erasures, locate_group, repair_coordinate
 from lrcodes.verify import (
     brute_force_distance,
     exhaustive_erasure_test,
@@ -35,16 +29,15 @@ from lrcodes.verify import (
 
 
 def _naive_distance(spec):
-    # independent oracle: walk the whole message space with scalar field
-    # arithmetic, no numpy, no chunking
-    F = spec.field
-    p = spec.params
+    # independent oracle: encode every nonzero message of the whole q^k
+    # space, message i having the base-q digits of i, 2^14 messages per
+    # F.matmul; no scalar classes and no digit table
+    F, p = spec.field, spec.params
+    total, powers = p.q**p.k, p.q ** np.arange(p.k)
     best = p.n + 1
-    for msg in product(range(p.q), repeat=p.k):
-        if not any(msg):
-            continue
-        w = sum(1 for v in encode(list(msg), spec) if v)
-        best = min(best, w)
+    for start in range(1, total, 1 << 14):
+        msgs = np.arange(start, min(start + (1 << 14), total))[:, None] // powers % p.q
+        best = min(best, int(np.count_nonzero(F.matmul(msgs, spec.G), axis=1).min()))
     return best
 
 
@@ -162,7 +155,8 @@ def test_locality_fails_for_column_scaled_generator(ref_spec):
     # G with column 1 doubled still has rank k and the same dual dimension,
     # but repair_coordinate no longer returns symbol 1 of its codewords
     F = ref_spec.field
-    G = tuple((F.mul(2, row[0]),) + row[1:] for row in ref_spec.G)
+    G = ref_spec.G.copy()
+    G[:, 0] = F.mul_vec(G[:, 0], 2)
     spec = replace(ref_spec, G=G)
     cw = encode([1, 2, 3, 4, 5], spec)
     assert repair_coordinate(spec, [None] + cw[1:], 1) != cw[0]
@@ -287,7 +281,7 @@ def _erasure_reference(spec, e, seed=0):
     rng = random.Random(seed)
     for subset in combinations(range(1, p.n + 1), e):
         msg = [rng.randrange(p.q) for _ in range(p.k)]
-        received = apply_erasures(encode(msg, spec), erasure_pattern(spec, subset))
+        received = [None if j in subset else v for j, v in enumerate(encode(msg, spec), 1)]
         try:
             if decode_erasures(spec, received) != msg:
                 return False
@@ -308,7 +302,9 @@ def test_exhaustive_erasure_matches_per_pattern_reference(grid_specs, ref_spec, 
         assert not exhaustive_erasure_test(spec, d)
     # a zeroed column still round-trips every pattern that erases it, but
     # some 3-pattern then leaves rank 4 < k
-    zeroed = replace(ref_spec, G=tuple((0,) + row[1:] for row in ref_spec.G))
+    G = ref_spec.G.copy()
+    G[:, 0] = 0
+    zeroed = replace(ref_spec, G=G)
     assert not _erasure_reference(zeroed, 3)
     assert not exhaustive_erasure_test(zeroed, 3)
     # chunks of two patterns: the verdict does not depend on the chunking
