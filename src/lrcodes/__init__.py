@@ -19,7 +19,6 @@ from .construction import (
     CodeParams,
     CodeSpec,
     MessageLayout,
-    assemble_polynomial,
     build_code,
     encode,
     message_layout,
@@ -102,7 +101,6 @@ __all__ = [
     "Unrecoverable",
     "UnsupportedField",
     "VerificationReport",
-    "assemble_polynomial",
     "brute_force_distance",
     "build_code",
     "coset_partition",

@@ -9,11 +9,11 @@ codeword is the value vector on the remaining n points.
 
 build_code evaluates that structure once, with the field's vector
 kernels, into the generator matrix G: one row per message slot, held
-by CodeSpec as one read-only k x n int64 array.  encode is msg . G and
-nothing else.  slot_polynomials is the independent polynomial path:
-the verify module checks G and the shortening through it, and
-assemble_polynomial (the message's whole codeword polynomial) is the
-reference the tests check them with.
+by CodeSpec as one read-only k x n int64 array.  It certifies rank k
+from the slots' degrees, with no elimination; the verify module still
+checks the rank of G by elimination, and checks G and the shortening
+against slot_polynomials, the independent polynomial path.  encode is
+msg . G and nothing else.
 """
 
 from __future__ import annotations
@@ -32,15 +32,7 @@ from .errors import (
     RateBoundViolated,
     SEqualsOne,
 )
-from .field import (
-    Field,
-    poly_add,
-    poly_eval_vec,
-    poly_from_roots,
-    poly_mul,
-    poly_scale,
-    poly_shift,
-)
+from .field import Field, poly_eval_vec, poly_from_roots, poly_mul, poly_shift
 from .goodpoly import (
     MULTIPLICATIVE,
     GoodPolynomial,
@@ -52,7 +44,6 @@ from .goodpoly import (
     make_partition,
     normalize_gamma,
 )
-from .linalg import rank
 
 
 @dataclass(frozen=True)
@@ -144,6 +135,12 @@ def validate_params(q: int, n: int, k: int, r: int) -> CodeParams:
     return CodeParams(q=q, n=n, k=k, r=r, s=s, t=t, m_blocks=m, n_bar=n_bar, k_prime=k + t)
 
 
+def degree_cap(params: CodeParams) -> int:
+    """The parent code's degree cap k' + ceil(k'/r) - 2: no codeword
+    polynomial has a higher degree."""
+    return params.k_prime + ceil(params.k_prime / params.r) - 2
+
+
 def message_layout(params: CodeParams) -> MessageLayout:
     kp, r = params.k_prime, params.r
     a_slots = tuple((i, j) for i in range(r) for j in range(1, slot_count(kp, r, i) + 1))
@@ -179,22 +176,6 @@ def slot_polynomials(spec: CodeSpec) -> list[list[int]]:
     return slots
 
 
-def assemble_polynomial(msg: Sequence[int], spec: CodeSpec) -> list[int]:
-    """The codeword polynomial f of the message, sum_i msg[i] * slot_i;
-    deg f <= k' + ceil(k'/r) - 2.
-
-    The tests check G and the shortening against it; verify reads
-    slot_polynomials directly.
-    """
-    _check_message(msg, spec)
-    F = spec.field
-    f: list[int] = []
-    for slot, a in zip(slot_polynomials(spec), msg):
-        if a:
-            f = poly_add(F, f, poly_scale(F, a, slot))
-    return f
-
-
 def encode(msg: Sequence[int], spec: CodeSpec) -> list[int]:
     """The codeword msg . G."""
     _check_message(msg, spec)
@@ -227,7 +208,15 @@ def _generator_matrix(
 
 
 def build_code(params: CodeParams) -> CodeSpec:
-    """Assemble the full code object and certify its dimension."""
+    """Assemble the full code object and certify its dimension by degree.
+
+    Slot polynomials of pairwise distinct degrees are independent.  Each
+    vanishes on B: an a-slot has a factor g_tilde (message_layout starts
+    j at 1), which is 0 on the last block, which holds B; B is the root
+    set of h_B.  A combination zero on the n points thus has n + t =
+    n_bar > cap roots (the rate bound keeps cap <= n_bar - 2), so it is
+    zero: G has rank k.
+    """
     F = Field(params.q)
     H = find_subgroup(F, params.r + 1)
     blocks = coset_partition(F, H, params.m_blocks)
@@ -241,9 +230,13 @@ def build_code(params: CodeParams) -> CodeSpec:
             f"evaluation set has {len(eval_points)} points, expected n = {params.n}"
         )
     layout = message_layout(params)
+    cap = degree_cap(params)
+    deg_gt, deg_hb = len(good.g_tilde) - 1, len(h_B) - 1
+    degrees = [i + j * deg_gt for i, j in layout.a_slots]
+    degrees += [b + deg_hb for b in range(layout.b_count)]
+    if len(set(degrees)) != len(degrees) or max(degrees) > cap:
+        raise InternalInconsistency(f"slot degrees are not pairwise distinct and <= {cap}")
     G = _generator_matrix(F, layout, good.g_tilde, h_B, eval_points)
-    if rank(F, G) != params.k:
-        raise InternalInconsistency(f"generator matrix rank below k = {params.k}")
     return CodeSpec(
         params=params,
         field=F,

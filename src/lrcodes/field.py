@@ -354,12 +354,6 @@ def poly_sub(F: Field, a: Sequence[int], b: Sequence[int]) -> list[int]:
     return poly_add(F, a, [F.neg(c) for c in b])
 
 
-def poly_scale(F: Field, c: int, p: Sequence[int]) -> list[int]:
-    if c == 0:
-        return []
-    return poly_trim([F.mul(c, x) for x in p])
-
-
 def poly_shift(p: Sequence[int], i: int) -> list[int]:
     """Multiply by x^i."""
     if not p:
@@ -380,7 +374,7 @@ def poly_mul(F: Field, a: Sequence[int], b: Sequence[int]) -> list[int]:
 
 
 def poly_eval(F: Field, p: Sequence[int], x: int) -> int:
-    """Horner evaluation of p at x."""
+    """Horner evaluation of p at x: the scalar reference for poly_eval_vec."""
     acc = 0
     for c in reversed(p):
         acc = F.add(F.mul(acc, x), c)

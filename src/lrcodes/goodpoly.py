@@ -12,8 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .errors import NoSubgroup, NotConstantOnBlocks, TooManyBlocks
-from .field import Field, poly_eval, poly_from_roots, poly_sub, smallest_primitive
+from .field import Field, poly_eval_vec, poly_from_roots, poly_sub, smallest_primitive
 
 MULTIPLICATIVE = "multiplicative"
 ADDITIVE = "additive"
@@ -23,7 +25,6 @@ ADDITIVE = "additive"
 class SubgroupSpec:
     kind: str
     elements: tuple[int, ...]
-    size: int
 
 
 @dataclass(frozen=True)
@@ -58,7 +59,7 @@ def find_subgroup(F: Field, size: int) -> SubgroupSpec:
         while x not in elems:
             elems.add(x)
             x = F.mul(x, gen)
-        return SubgroupSpec(MULTIPLICATIVE, tuple(sorted(elems)), size)
+        return SubgroupSpec(MULTIPLICATIVE, tuple(sorted(elems)))
     if F.characteristic == 2 and size & (size - 1) == 0:
         a = size.bit_length() - 1
         if a <= F.extension_degree:
@@ -66,7 +67,7 @@ def find_subgroup(F: Field, size: int) -> SubgroupSpec:
             span = {0}
             for b in basis:
                 span |= {F.add(x, b) for x in span}
-            return SubgroupSpec(ADDITIVE, tuple(sorted(span)), size)
+            return SubgroupSpec(ADDITIVE, tuple(sorted(span)))
     raise NoSubgroup(
         f"GF({F.order}) has no subgroup of size {size}: "
         f"{size} does not divide {F.order - 1}"
@@ -80,16 +81,17 @@ def coset_partition(F: Field, H: SubgroupSpec, m: int) -> list[tuple[int, ...]]:
     Greedy by smallest uncovered element, so block i+1's minimum exceeds
     block i's; the result is deterministic for fixed (q, H, m).
     """
+    size = len(H.elements)
     if H.kind == MULTIPLICATIVE:
         universe = range(1, F.order)
         shift = F.mul
-        capacity = (F.order - 1) // H.size
+        capacity = (F.order - 1) // size
     else:
         universe = range(F.order)
         shift = F.add
-        capacity = F.order // H.size
+        capacity = F.order // size
     if m > capacity:
-        raise TooManyBlocks(f"{m} blocks of size {H.size} need more than GF({F.order}) offers")
+        raise TooManyBlocks(f"{m} blocks of size {size} need more than GF({F.order}) offers")
     blocks: list[tuple[int, ...]] = []
     covered: set[int] = set()
     for rep in universe:
@@ -118,20 +120,21 @@ def good_polynomial(F: Field, H: SubgroupSpec) -> list[int]:
     polynomial, hence additive as a map, hence constant on x + H).
     """
     if H.kind == MULTIPLICATIVE:
-        return [0] * H.size + [1]
+        return [0] * len(H.elements) + [1]
     return poly_from_roots(F, H.elements)
 
 
 def normalize_gamma(F: Field, g: Sequence[int], partition: PartitionSpec) -> GoodPolynomial:
     """Subtract g's value on the last block so that value becomes zero.
 
-    Verifies block-constancy by evaluating g at every point first.
+    Verifies block-constancy by evaluating g at every point first, in
+    one vector Horner pass over the (m, r+1) array of blocks.
     """
-    for block in partition.blocks:
-        vals = {poly_eval(F, g, x) for x in block}
-        if len(vals) != 1:
+    values = poly_eval_vec(F, g, np.array(partition.blocks, dtype=np.int64))
+    for block, vals in zip(partition.blocks, values):
+        if (vals != vals[0]).any():
             raise NotConstantOnBlocks(
-                f"polynomial takes {len(vals)} distinct values on block {block}"
+                f"polynomial takes {len(set(vals.tolist()))} distinct values on block {block}"
             )
-    gamma = vals.pop()  # the last block's value
+    gamma = int(values[-1, 0])  # the last block's value
     return GoodPolynomial(gamma=gamma, g_tilde=tuple(poly_sub(F, g, [gamma])))

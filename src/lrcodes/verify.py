@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import predicted_distance
-from .construction import CodeSpec, slot_polynomials
+from .construction import CodeSpec, degree_cap, slot_polynomials
 from .errors import BudgetExceeded, LrcError
 from .field import lagrange_weights
 from .linalg import rank as _rank, row_reduce_stack
@@ -210,7 +210,7 @@ def verify_locality(spec: CodeSpec) -> bool:
 def verify_shortening(spec: CodeSpec) -> bool:
     """Whether every message embeds into the parent code: its polynomial
     vanishes on the dropped points B, and its values on all n_bar block
-    points interpolate to degree <= k' + ceil(k'/r) - 2 (the parent cap).
+    points interpolate to degree <= degree_cap (the parent's cap).
 
     Both conditions are linear in the message, so the k unit messages
     decide them for all q^k messages.  The degree test is the parity
@@ -220,13 +220,12 @@ def verify_shortening(spec: CodeSpec) -> bool:
     e = 0 .. n_bar - 2 - cap.
     """
     F = spec.field
-    p = spec.params
     points = [x for block in spec.partition.blocks for x in block]
     words = _unit_words(spec, points)
     dropped = set(spec.partition.B)
     if np.count_nonzero(words[:, [j for j, x in enumerate(points) if x in dropped]]):
         return False
-    cap = p.k_prime + -(-p.k_prime // p.r) - 2
+    cap = degree_cap(spec.params)
     # lambda_j = -w_j / w_last predicts the last point from the others
     row = np.array(lagrange_weights(F, points[:-1], points[-1]) + [F.neg(1)], dtype=np.int64)
     x = np.array(points, dtype=np.int64)

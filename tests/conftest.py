@@ -1,9 +1,14 @@
-"""Shared fixtures: the acceptance grid and its built codes."""
+"""Shared fixtures: the acceptance grid and its built codes; the
+codeword polynomial of a message, the tests' reference for G."""
+
+from typing import Sequence
 
 import pytest
 
 from lrcodes import build_code, validate_params
+from lrcodes.construction import CodeSpec, _check_message, slot_polynomials
 from lrcodes.errors import LrcError
+from lrcodes.field import Field, poly_add, poly_trim
 
 GRID_Q = (13, 16, 17)
 GRID_R = (2, 3, 4)
@@ -41,3 +46,25 @@ def grid_specs(grid_params):
 def ref_spec():
     """The worked reference code: (n, k, r) = (10, 5, 3) over GF(13), d = 4."""
     return build_code(validate_params(13, 10, 5, 3))
+
+
+def poly_scale(F: Field, c: int, p: Sequence[int]) -> list[int]:
+    if c == 0:
+        return []
+    return poly_trim([F.mul(c, x) for x in p])
+
+
+def assemble_polynomial(msg: Sequence[int], spec: CodeSpec) -> list[int]:
+    """The codeword polynomial f of the message, sum_i msg[i] * slot_i;
+    deg f <= degree_cap(spec.params).
+
+    The tests check G and the shortening against it; verify reads
+    slot_polynomials directly.
+    """
+    _check_message(msg, spec)
+    F = spec.field
+    f: list[int] = []
+    for slot, a in zip(slot_polynomials(spec), msg):
+        if a:
+            f = poly_add(F, f, poly_scale(F, a, slot))
+    return f

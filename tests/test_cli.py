@@ -11,8 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import assemble_polynomial
 from lrcodes.cli import load_spec_file, main, spec_to_dict, write_spec_file
-from lrcodes.construction import assemble_polynomial, build_code, validate_params
+from lrcodes.construction import build_code, validate_params
 from lrcodes.errors import LrcError
 from lrcodes.field import poly_eval, poly_from_roots
 

@@ -1,11 +1,14 @@
 """Parameter validation, message layout, and the encoder."""
 
 import random
+import time
 
 import pytest
 
+from lrcodes import construction
+from conftest import assemble_polynomial
 from lrcodes.construction import (
-    assemble_polynomial,
+    MessageLayout,
     build_code,
     encode,
     message_layout,
@@ -14,6 +17,7 @@ from lrcodes.construction import (
 )
 from lrcodes.errors import (
     FieldTooSmall,
+    InternalInconsistency,
     LengthMismatch,
     LrcError,
     NoSubgroup,
@@ -109,6 +113,34 @@ def test_build_code_divisible_has_trivial_h_B():
 def test_generator_rank_is_k(grid_specs):
     for p, spec in grid_specs:
         assert rank(spec.field, spec.G) == p.k
+
+
+# In the reference code deg g_tilde = 4, deg h_B = 2 and the cap is 8.
+# Both layouts below have five slot polynomials that are independent and
+# vanish on B, so G still has rank 5 and an elimination would accept it;
+# only the degree certificate refuses them.
+@pytest.mark.parametrize(
+    "a_slots",
+    [
+        ((0, 2), (4, 1), (1, 1), (2, 1)),  # g_tilde^2 and x^4 g_tilde: both degree 8
+        ((0, 1), (1, 2), (1, 1), (2, 1)),  # x g_tilde^2: degree 9, one over the cap
+    ],
+)
+def test_degree_certificate_refuses_layout(monkeypatch, a_slots):
+    monkeypatch.setattr(
+        construction, "message_layout", lambda params: MessageLayout(a_slots, b_count=1)
+    )
+    with pytest.raises(InternalInconsistency, match="slot degrees"):
+        build_code(validate_params(13, 10, 5, 3))
+
+
+def test_build_long_code_is_fast():
+    # an elimination over G took about 4.6 s on a 2-core machine; the degree
+    # certificate is O(k)
+    start = time.perf_counter()
+    spec = build_code(validate_params(65536, 1600, 800, 15))
+    assert time.perf_counter() - start < 1.0
+    assert spec.G.shape == (800, 1600)
 
 
 def test_assemble_zero_message(ref_spec):
