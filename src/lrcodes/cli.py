@@ -223,6 +223,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
+    for name, v in (("n", args.n), ("k", args.k), ("r", args.r)):
+        if v < 1:
+            raise LrcError(f"{name} must be a positive integer, got {v}")
+    if args.k > args.n:
+        raise LrcError(f"dimension k = {args.k} exceeds the length n = {args.n}")
     doc = {
         "n": args.n,
         "k": args.k,

@@ -9,23 +9,26 @@ the Lagrange weights that repair uses, shortening from the k unit
 messages' parent words (zeros on the dropped points, and the parent's
 parity check built from the same Lagrange weights), erasure tolerance
 from exhaustive pattern decoding.  Only the erasure oracle samples (one
-random message per pattern, from its seed); the others are exact.
-Enumeration is budget-gated; a report is either complete or the run
-aborts with BudgetExceeded.
+random message per pattern, drawn a chunk at a time by a numpy generator
+seeded from its seed); the others are exact.  Enumeration is
+budget-gated; a report is either complete or the run aborts with
+BudgetExceeded.
 
 Codeword batches are computed with the field's numpy kernels
 (Field.mul_vec, Field.matmul, Field.add_vec): prime fields reduce int64
 products mod p, binary fields gather from log/antilog tables of O(q)
-size, so no object here grows with q^2.  The erasure oracle decodes
-its patterns in stacked chunks, one linalg.row_reduce_stack per chunk,
-capped at DEFAULT_CHUNK_CAP symbols like the distance table.
+size, so no object here grows with q^2.  The distance search keeps its
+table of low-message words as uint16 and compares candidates with it;
+the erasure oracle decodes its patterns in stacked chunks, one
+linalg.row_reduce_stack per chunk.  Both are capped at DEFAULT_CHUNK_CAP
+symbols.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations, islice, product
+from itertools import chain, combinations, product
 from math import comb
 from typing import Sequence
 
@@ -126,14 +129,21 @@ def minimum_weight_word(
     so that its highest nonzero digit is 1.
 
     For each position top of that digit, the digits above it are 0 and
-    those below it are free.  Digits 0..L-1 come from one table of all
-    q^L low messages, digit 0 turning fastest, with L = min(k - 1, the
-    largest L with q^L * n <= chunk_cap), so its first q^min(top, L)
-    rows are exactly the messages with no digit at or above min(top, L):
-    every top reads a prefix of the same table, and only digits
-    L..top-1 are walked, one combination at a time broadcast against it.
-    The table is built one digit at a time, adding the q multiples of
-    G[d] to the previous table.  When even digit 0's q codewords exceed
+    those below it are free.  Digits 0..L-1 come from one table of the
+    words of all q^L low messages, digit 0 turning fastest, with
+    L = min(k - 1, the largest L with q^L * n <= chunk_cap), so its first
+    q^min(top, L) columns are exactly the messages with no digit at or
+    above min(top, L): every top reads a prefix of the same table, and
+    only digits L..top-1 are walked, one combination at a time.  A
+    walked combination's high part h adds to each low word w, and
+    h + w has weight n minus the number of coordinates where w equals
+    -h, so the walk compares the table with -h and never adds.
+
+    The table is stored transposed, one uint16 row per coordinate (every
+    supported field's elements fit), and built one digit at a time: the
+    columns of digit d = v are the first q^d columns plus v * G[d],
+    computed in int64 a group of values at a time, each group about
+    chunk_cap // 8 symbols, and cast.  When even digit 0's q words exceed
     the cap (L = 1), the table is built and read in slices of
     chunk_cap // n digit-0 values.
     """
@@ -151,21 +161,31 @@ def minimum_weight_word(
     best_w, best_m = n + 1, None
     # more than one slice only when low = 1 and digit 0's table exceeds the cap
     for start in range(0, q**low, rows):
-        # row i encodes the message whose digit d is ((start + i) // q^d) % q
-        table = np.zeros((1, n), dtype=np.int64)
+        # column i holds the word of the message with digits ((start + i) // q^d) % q
+        table = np.zeros((n, min(rows, q**low - start)), dtype=np.uint16)
         for d in range(low):
-            values = np.arange(start, min(start + rows, q)) if d == 0 else np.arange(q)
-            table = F.add_vec(F.mul_vec(values[:, None, None], G[d]), table).reshape(-1, n)
+            # digit d = values[i] fills columns [i * width, (i + 1) * width)
+            # from the first width columns, which hold digits 0..d-1
+            width = q**d
+            values = np.arange(q) if d else start + np.arange(min(q, table.shape[1]))
+            step = max(1, chunk_cap // (8 * n * width))
+            for i in range(0, len(values), step):
+                j = min(i + step, len(values))
+                block = F.mul_vec(G[d][:, None, None], values[i:j, None])
+                if d:
+                    block = F.add_vec(block, table[:, None, :width])
+                table[:, i * width : j * width] = block.reshape(n, -1)
         for top in range(k):
-            # digits below lo come from the table's first q^lo rows
+            # digits below lo come from the table's first q^lo columns
             lo = min(top, low)
-            size = min(q**lo - start, len(table))
+            size = min(q**lo - start, table.shape[1])
             if size <= 0:
                 continue
             for walked in product(range(q), repeat=top - lo):
                 high = np.array([walked + (1,)], dtype=np.int64)
-                base = F.matmul(high, G[lo : top + 1])
-                weights = np.count_nonzero(F.add_vec(base, table[:size]), axis=1)
+                target = F.mul_vec(F.matmul(high, G[lo : top + 1])[0], F.neg(1))
+                differs = table[:, :size] != target.astype(np.uint16)[:, None]
+                weights = np.count_nonzero(differs, axis=0)
                 i = int(weights.argmin())
                 if weights[i] < best_w:
                     best_w = int(weights[i])
@@ -245,38 +265,38 @@ def exhaustive_erasure_test(
 ) -> bool:
     """Whether every e-subset of coordinates can be erased and decoded.
 
-    Each pattern is tried on a fresh random codeword (k draws of
-    random.Random(seed) per pattern, in combinations order).  Patterns
-    are decoded in chunks of at most DEFAULT_CHUNK_CAP symbols of stacked
-    systems [G[:, known]^T | y], one row_reduce_stack per chunk; a
-    pattern passes only when its pivots are exactly the k message
-    columns and the solution is the message sent.  Anything else (rank
-    below k, an inconsistent word, a wrong solution: what decode_erasures
-    reports as Unrecoverable or a wrong round trip) makes the answer False.
+    Each pattern is tried on a fresh random codeword.  The patterns are
+    taken as their n - e known coordinates, in combinations order, in
+    chunks of at most DEFAULT_CHUNK_CAP symbols of stacked systems
+    [G[:, known]^T | y], one row_reduce_stack per chunk; each chunk's
+    messages are one draw of a numpy generator seeded from
+    random.Random(seed), so any int seeds it.  A pattern passes only
+    when its pivots are exactly the k message columns and the solution
+    is the message sent.  Anything else (rank below k, an inconsistent
+    word, a wrong solution: what decode_erasures reports as Unrecoverable
+    or a wrong round trip) makes the answer False.
     """
     p = spec.params
     n, k = p.n, p.k
     if not isinstance(e, int) or isinstance(e, bool) or not 0 <= e <= n:
         raise LrcError(f"erasure count must be an integer in [0, {n}], got {e!r}")
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise LrcError(f"seed must be an integer, got {seed!r}")
     patterns = comb(n, e)
     if patterns > budget:
         raise BudgetExceeded(f"erasure test needs budget >= {patterns} patterns, got {budget}")
     F = spec.field
     G = spec.G
-    rng = random.Random(seed)
-    subsets = combinations(range(n), e)
+    rng = np.random.default_rng(random.Random(seed).getrandbits(128))
+    known_sets = chain.from_iterable(combinations(range(n), n - e))
     size = max(1, DEFAULT_CHUNK_CAP // ((n - e) * (k + 1) or 1))
-    while chunk := list(islice(subsets, size)):
-        s = len(chunk)
-        msgs = np.array([rng.randrange(p.q) for _ in range(s * k)], dtype=np.int64).reshape(s, k)
-        words = F.matmul(msgs, G)
-        known = np.ones((s, n), dtype=bool)
-        known[np.arange(s)[:, None], np.array(chunk, dtype=np.int64).reshape(s, e)] = False
-        known_cols = np.nonzero(known)[1].reshape(s, n - e)
-        systems = np.concatenate(
-            [G.T[known_cols], np.take_along_axis(words, known_cols, axis=1)[:, :, None]],
-            axis=2,
-        )
+    for start in range(0, patterns, size):
+        s = min(size, patterns - start)
+        known = np.fromiter(known_sets, dtype=np.intp, count=s * (n - e)).reshape(s, n - e)
+        msgs = rng.integers(p.q, size=(s, k))
+        systems = np.empty((s, n - e, k + 1), dtype=np.int64)
+        systems[:, :, :k] = G.T[known]
+        systems[:, :, k] = np.take_along_axis(F.matmul(msgs, G), known, axis=1)
         reduced, pivots = row_reduce_stack(F, systems)
         # pivots exactly on the k message columns, then row i solves column i
         if not (pivots[:, :k].all() and not pivots[:, k].any()):

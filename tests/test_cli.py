@@ -290,6 +290,29 @@ def test_bounds_command(capsys):
     }
 
 
+@pytest.mark.parametrize(
+    "n,k,r,message",
+    [
+        # r = 0 divided by zero in ceil(k / r); the others printed bounds
+        # such as d_improved = -56 and exited 0
+        ("10", "5", "0", "r must be a positive integer"),
+        ("0", "0", "1", "n must be a positive integer"),
+        ("-5", "2", "3", "n must be a positive integer"),
+        ("10", "50", "3", "k = 50 exceeds the length n = 10"),
+    ],
+)
+def test_bounds_refuses_invalid_input(capsys, n, k, r, message):
+    assert main(["bounds", "--n", n, "--k", k, "--r", r]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
+def test_verify_accepts_a_negative_seed(capsys, code_file):
+    assert main(["verify", "--spec", str(code_file), "--seed", "-1"]) == 0
+    assert json.loads(capsys.readouterr().out)["all_ok"] is True
+
+
 def test_missing_file_is_exit_2(capsys, tmp_path):
     assert main(["encode", "--spec", str(tmp_path / "nope.json"), "1"]) == 2
     capsys.readouterr()

@@ -121,6 +121,37 @@ def test_distance_of_rank_deficient_generator_is_zero(ref_spec):
             assert any(msg) and not any(encode(msg, spec))
 
 
+# the certify benchmark's codes: (weight, witness) as the walk over an
+# int64 table that summed and reduced every candidate returned them
+CERTIFY_WITNESSES = [
+    ((13, 10, 5, 3), 4, [6, 1, 0, 0, 0]),
+    ((13, 11, 5, 2), 5, [4, 1, 4, 1, 0]),
+    ((16, 14, 5, 3), 8, [7, 1, 0, 0, 0]),
+    ((16, 14, 4, 3), 10, [0, 1, 1, 0]),
+    ((17, 15, 5, 3), 10, [1, 0, 1, 0, 0]),
+    ((256, 14, 2, 4), 13, [1, 1]),
+    ((1024, 8, 2, 2), 6, [1, 0]),
+]
+
+
+@pytest.mark.parametrize("code,weight,witness", CERTIFY_WITNESSES)
+def test_minimum_weight_word_is_pinned(code, weight, witness):
+    assert minimum_weight_word(build_code(validate_params(*code)), 5_000_000) == (weight, witness)
+
+
+def test_distance_table_memory_at_default_cap():
+    # 16^4 low messages of 14 symbols: 15.5 MiB when the table and each
+    # candidate's sum were int64, 1.75 MiB as a uint16 table
+    spec = build_code(validate_params(16, 14, 5, 3))
+    tracemalloc.start()
+    try:
+        assert brute_force_distance(spec, 5_000_000) == 8
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 << 20
+
+
 @pytest.mark.parametrize("q,n,k,r,d", [(4096, 300, 2, 2, 299), (256, 200, 3, 2, 197)])
 def test_distance_memory_is_capped_above_k1(q, n, k, r, d):
     # k = 2: q codewords of n symbols exceed the cap, so digit 0's table
@@ -275,9 +306,20 @@ def test_exhaustive_erasure_refuses_bad_pattern_sizes(ref_spec):
             exhaustive_erasure_test(ref_spec, e)
 
 
+@pytest.mark.parametrize("seed", [0, 1, -1, 2**70])
+def test_exhaustive_erasure_takes_any_int_seed(ref_spec, seed):
+    assert exhaustive_erasure_test(ref_spec, 3, seed=seed)
+    assert not exhaustive_erasure_test(ref_spec, 4, seed=seed)
+
+
+def test_exhaustive_erasure_refuses_a_bool_seed(ref_spec):
+    with pytest.raises(LrcError, match="seed"):
+        exhaustive_erasure_test(ref_spec, 3, seed=True)
+
+
 def _erasure_reference(spec, e, seed=0):
-    # the per-pattern oracle: one decode_erasures call per e-subset, on the
-    # same seeded messages the stacked oracle draws
+    # the per-pattern oracle: one decode_erasures call per e-subset, on
+    # messages from its own random.Random(seed); only verdicts are compared
     p = spec.params
     rng = random.Random(seed)
     for subset in combinations(range(1, p.n + 1), e):
