@@ -88,7 +88,10 @@ def row_reduce_stack(F: Field, systems: np.ndarray) -> tuple[np.ndarray, np.ndar
     its reduced rows and pivots are row_reduce's for that system alone.
     The work runs on an (m, c, S) copy: with the stack axis last, each
     step is a few vector operations of length S rather than S short
-    ones of the systems' widths.
+    ones of the systems' widths.  While every system has found a pivot
+    in every column so far (the erasure oracle's usual case), all share
+    the pivot row, and a step gathers only the systems whose pivot lies
+    below it.
     """
     nsys, nrows, ncols = systems.shape
     m = np.ascontiguousarray(systems.transpose(1, 2, 0), dtype=np.int64)
@@ -101,26 +104,41 @@ def row_reduce_stack(F: Field, systems: np.ndarray) -> tuple[np.ndarray, np.ndar
         found = candidates.any(axis=0)
         if not found.any():
             continue
-        if found.all():
-            sel, sub, factors = slice(None), m, column
+        r = ranks[0]
+        if found.all() and (ranks == r).all():
+            # every system pivots into row r: swap the pivot row up where it
+            # lies lower, then the step is plain slices
+            lower = np.flatnonzero(~candidates[r])
+            if len(lower):
+                rows = candidates[:, lower].argmax(axis=0)
+                m[rows, col:, lower], m[r, col:, lower] = m[r, col:, lower], m[rows, col:, lower]
+                column[rows, lower], column[r, lower] = column[r, lower], column[rows, lower]
+            pivot = F.div_vec(m[r, col:], column[r])
+            F.isub_mul(m[:, col:], column[:, None], pivot)
+            m[r, col:] = pivot
+            ranks += 1
+            pivots[:, col] = True
         else:
-            sel = np.flatnonzero(found)
-            sub, factors = m[:, :, sel], column[:, sel]
-        each = np.arange(sub.shape[2])
-        pivot_row = candidates[:, sel].argmax(axis=0)
-        rank = ranks[sel]
-        # as in row_reduce: the pivot row goes to row rank, whose old row
-        # moves down to the pivot's place, and only columns from col on change
-        block = sub[:, col:]
-        pivot = F.div_vec(block[pivot_row, :, each], factors[pivot_row, each][:, None])
-        block[pivot_row, :, each] = block[rank, :, each]
-        factors[pivot_row, each] = factors[rank, each]
-        F.isub_mul(block, factors[:, None], np.ascontiguousarray(pivot.T))
-        block[rank, :, each] = pivot
-        if sub is not m:
-            m[:, :, sel] = sub
-        ranks[sel] += 1
-        pivots[sel, col] = True
+            if found.all():
+                sel, sub, factors = slice(None), m, column
+            else:
+                sel = np.flatnonzero(found)
+                sub, factors = m[:, :, sel], column[:, sel]
+            each = np.arange(sub.shape[2])
+            pivot_row = candidates[:, sel].argmax(axis=0)
+            rank = ranks[sel]
+            # as in row_reduce: the pivot row goes to row rank, whose old row
+            # moves down to the pivot's place, and only columns from col on change
+            block = sub[:, col:]
+            pivot = F.div_vec(block[pivot_row, :, each], factors[pivot_row, each][:, None])
+            block[pivot_row, :, each] = block[rank, :, each]
+            factors[pivot_row, each] = factors[rank, each]
+            F.isub_mul(block, factors[:, None], np.ascontiguousarray(pivot.T))
+            block[rank, :, each] = pivot
+            if sub is not m:
+                m[:, :, sel] = sub
+            ranks[sel] += 1
+            pivots[sel, col] = True
         if (col + 1) % _REDUCE_EVERY == 0:
             m[:] = F.reduce_vec(m)
     return F.reduce_vec(m).transpose(2, 0, 1), pivots

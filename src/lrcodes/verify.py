@@ -18,10 +18,10 @@ Codeword batches are computed with the field's numpy kernels
 (Field.mul_vec, Field.matmul, Field.add_vec): prime fields reduce int64
 products mod p, binary fields gather from log/antilog tables of O(q)
 size, so no object here grows with q^2.  The distance search keeps its
-table of low-message words as uint16 and compares candidates with it;
-the erasure oracle decodes its patterns in stacked chunks, one
-linalg.row_reduce_stack per chunk.  Both are capped at DEFAULT_CHUNK_CAP
-symbols.
+table of low-message words as uint16 and compares candidates with it
+rather than adding to it; the erasure oracle decodes its patterns in
+stacked chunks, one linalg.row_reduce_stack per chunk.  Both are capped
+at DEFAULT_CHUNK_CAP symbols.
 """
 
 from __future__ import annotations
@@ -129,23 +129,26 @@ def minimum_weight_word(
     so that its highest nonzero digit is 1.
 
     For each position top of that digit, the digits above it are 0 and
-    those below it are free.  Digits 0..L-1 come from one table of the
-    words of all q^L low messages, digit 0 turning fastest, with
-    L = min(k - 1, the largest L with q^L * n <= chunk_cap), so its first
-    q^min(top, L) columns are exactly the messages with no digit at or
-    above min(top, L): every top reads a prefix of the same table, and
-    only digits L..top-1 are walked, one combination at a time.  A
-    walked combination's high part h adds to each low word w, and
-    h + w has weight n minus the number of coordinates where w equals
-    -h, so the walk compares the table with -h and never adds.
+    those below it are free.  Digits 0..L-1 are the low digits, digit 0
+    turning fastest, with L = min(k - 1, the largest L with
+    q^L * n <= chunk_cap); only digits L..top-1 are walked, one
+    combination at a time.  A walked combination's high part h adds to
+    each low word w, and h + w has weight n minus the number of
+    coordinates where w equals -h, so the walk compares with the low
+    words and never adds to them.
 
-    The table is stored transposed, one uint16 row per coordinate (every
-    supported field's elements fit), and built one digit at a time: the
-    columns of digit d = v are the first q^d columns plus v * G[d],
-    computed in int64 a group of values at a time, each group about
-    chunk_cap // 8 symbols, and cast.  When even digit 0's q words exceed
-    the cap (L = 1), the table is built and read in slices of
-    chunk_cap // n digit-0 values.
+    Digits 0..L-2 come from one table of the words of all q^(L-1) of
+    their messages, stored transposed as one uint16 row per coordinate
+    (every supported field's elements fit) and built one digit at a
+    time in int64: the columns of digit d = v are the first q^d columns
+    plus v * G[d].  Its first q^min(top, L-1) columns are exactly the
+    messages with no digit at or above that position, so every top
+    reads a prefix of the same table.  Digit L-1, the fan, is never
+    tabulated: once top >= L, each combination compares the table with
+    -(h + v * G[L-1]) for every fan value v at once, in the order the
+    q^L-column table of digits 0..L-1 would have.  When even digit 0's
+    q words exceed the cap (L = 1), the fan values are taken in slices
+    of chunk_cap // n.
     """
     F = spec.field
     p = spec.params
@@ -157,39 +160,38 @@ def minimum_weight_word(
     low = min(1, k - 1)
     while low < k - 1 and q ** (low + 1) * n <= chunk_cap:
         low += 1
-    rows = max(1, chunk_cap // n)
+    # column i holds the word of the message with digits (i // q^d) % q
+    table = np.zeros((n, q ** max(low - 1, 0)), dtype=np.uint16)
+    for d in range(low - 1):
+        block = F.mul_vec(G[d][:, None, None], np.arange(q)[:, None])
+        table[:, : q ** (d + 1)] = F.add_vec(block, table[:, None, : q**d]).reshape(n, -1)
+    # k = 1 has no fan digit; more than one slice only when low = 1
+    fans = q if low else 1
+    step = max(1, chunk_cap // (n * table.shape[1]))
     best_w, best_m = n + 1, None
-    # more than one slice only when low = 1 and digit 0's table exceeds the cap
-    for start in range(0, q**low, rows):
-        # column i holds the word of the message with digits ((start + i) // q^d) % q
-        table = np.zeros((n, min(rows, q**low - start)), dtype=np.uint16)
-        for d in range(low):
-            # digit d = values[i] fills columns [i * width, (i + 1) * width)
-            # from the first width columns, which hold digits 0..d-1
-            width = q**d
-            values = np.arange(q) if d else start + np.arange(min(q, table.shape[1]))
-            step = max(1, chunk_cap // (8 * n * width))
-            for i in range(0, len(values), step):
-                j = min(i + step, len(values))
-                block = F.mul_vec(G[d][:, None, None], values[i:j, None])
-                if d:
-                    block = F.add_vec(block, table[:, None, :width])
-                table[:, i * width : j * width] = block.reshape(n, -1)
+    for start in range(0, fans, step):
+        values = np.arange(start, min(start + step, fans))
+        fan_words = F.mul_vec(G[low - 1][:, None], values) if low else None
         for top in range(k):
-            # digits below lo come from the table's first q^lo columns
             lo = min(top, low)
-            size = min(q**lo - start, table.shape[1])
-            if size <= 0:
+            fanned = 0 < lo == low
+            if start and not fanned:
                 continue
+            # digits below lo (below the fan when fanned) from the table's prefix
+            cols = table if fanned else table[:, : q**lo]
             for walked in product(range(q), repeat=top - lo):
                 high = np.array([walked + (1,)], dtype=np.int64)
-                target = F.mul_vec(F.matmul(high, G[lo : top + 1])[0], F.neg(1))
-                differs = table[:, :size] != target.astype(np.uint16)[:, None]
-                weights = np.count_nonzero(differs, axis=0)
+                words = F.matmul(high, G[lo : top + 1]).T
+                if fanned:
+                    words = F.add_vec(words, fan_words)
+                targets = F.mul_vec(words, F.neg(1)).astype(np.uint16)
+                differs = cols[:, None, :] != targets[:, :, None]
+                weights = np.count_nonzero(differs, axis=0).ravel()
                 i = int(weights.argmin())
                 if weights[i] < best_w:
                     best_w = int(weights[i])
-                    digits = [(start + i) // q**d % q for d in range(lo)]
+                    v, w = divmod(i, cols.shape[1])
+                    digits = [w // q**d % q for d in range(lo - fanned)] + [start + v] * fanned
                     best_m = digits + list(walked) + [1] + [0] * (k - 1 - top)
     assert best_m is not None
     return best_w, best_m

@@ -219,6 +219,26 @@ def test_row_reduce_matches_scalar_gauss_jordan(q):
             assert np.flatnonzero(got_pivots).tolist() == want_pivots
 
 
+@pytest.mark.parametrize("q", ORDERS)
+def test_row_reduce_stack_of_full_rank_systems(q):
+    # every system finds a pivot in every column, so the stack shares its
+    # pivot row at each step; shuffled identity rows put some pivots below it
+    F = Field(q)
+    rng = random.Random(q + 2)
+    for nrows, ncols in [(5, 4), (6, 6), (7, 3)]:
+        stack = []
+        for _ in range(6):
+            rows = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+            rows += [[rng.randrange(q) for _ in range(ncols)] for _ in range(nrows - ncols)]
+            rng.shuffle(rows)
+            stack.append(rows)
+        reduced, pivots = row_reduce_stack(F, np.array(stack, dtype=np.int64))
+        for rows, got_rows, got_pivots in zip(stack, reduced, pivots):
+            want_rows, want_pivots = _scalar_gauss_jordan(F, rows)
+            assert got_rows.tolist() == want_rows
+            assert np.flatnonzero(got_pivots).tolist() == want_pivots
+
+
 def test_row_reduce_with_frequent_whole_matrix_reduction(monkeypatch):
     # GF(p) elimination reduces the whole matrix every _REDUCE_EVERY pivots
     monkeypatch.setattr(linalg, "_REDUCE_EVERY", 2)

@@ -140,8 +140,8 @@ def test_minimum_weight_word_is_pinned(code, weight, witness):
 
 
 def test_distance_table_memory_at_default_cap():
-    # 16^4 low messages of 14 symbols: 15.5 MiB when the table and each
-    # candidate's sum were int64, 1.75 MiB as a uint16 table
+    # 16^4 low messages of 14 symbols: 15.5 MiB when their words and each
+    # candidate's sum were int64 tables
     spec = build_code(validate_params(16, 14, 5, 3))
     tracemalloc.start()
     try:
