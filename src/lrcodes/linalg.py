@@ -11,9 +11,9 @@ patterns at once.  The choice follows from the input shape: a single
 system stays on row_reduce, because the stack's per-system bookkeeping
 (a pivot search across the stack, fancy-indexed row moves, an array
 inverse by Fermat exponentiation over GF(p)) costs more than it saves
-when S = 1.  On a 2-core Xeon, a stack of one took 10.1 ms against
-row_reduce's 2.8 ms on a 100 x 81 decode system over GF(65521), and
-2.3 ms against 1.0 ms on a 45 x 41 one over GF(2^16).
+when S = 1.  On a 2-core Xeon, a stack of one took 5.7 ms against
+row_reduce's 1.55 ms on a 100 x 81 decode system over GF(65521), and
+1.3 ms against 0.66 ms on a 45 x 41 one over GF(2^16).
 
 Over GF(p) the steps leave entries unreduced; only the pivot column is
 reduced when it is searched.  Each step moves an entry by less than
