@@ -91,7 +91,10 @@ def load_spec_file(path: str | Path) -> CodeSpec:
     verify command can report (rather than refuse to load) a tampered
     matrix.
     """
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except RecursionError:
+        raise LrcError("bad code file: JSON nested too deeply") from None
     _expect(isinstance(doc, dict), "top level is not an object")
     version = doc.get("version")
     _expect(_is_int(version) and version == SPEC_VERSION, f"unsupported version {version!r}")

@@ -10,7 +10,7 @@ class NotAPrimePower(LrcError):
 
 
 class UnsupportedField(LrcError):
-    """Field order is a prime power outside the supported range."""
+    """Field order is above 2^16, or the square of an odd prime."""
 
 
 class NotAFieldElement(LrcError, ValueError):

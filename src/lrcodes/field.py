@@ -81,14 +81,13 @@ class Field:
     def __init__(self, q: int):
         if not isinstance(q, int) or q < 2:
             raise NotAPrimePower(f"field order must be an integer >= 2, got {q!r}")
+        # before the trial division, which would take ~sqrt(q) steps
+        if q > MAX_ORDER:
+            raise UnsupportedField(f"field order {q} exceeds 2^16")
         if _is_prime(q):
-            if q > MAX_ORDER:
-                raise UnsupportedField(f"prime field order {q} exceeds 2^16")
             p, e, modulus = q, 1, None
         elif q & (q - 1) == 0:
             e = q.bit_length() - 1
-            if e > 16:
-                raise UnsupportedField(f"GF(2^{e}) exceeds the supported degree 16")
             p, modulus = 2, _IRREDUCIBLE[e]
         else:
             # odd prime powers p^e with e > 1 land here too

@@ -1,26 +1,28 @@
 """Dense linear algebra over a Field: elimination and rank.
 
-Everything here is exact.  Elimination runs on an int64 numpy copy with
+Everything here is exact.  Elimination runs on int64 numpy arrays with
 the field's vector kernels (Field.div_vec, Field.isub_mul): one
 vectorised Gauss-Jordan step per pivot over the columns from the pivot
 on.  row_reduce takes one system of canonical field ints, as row lists
-or a 2-D array, and returns lists; row_reduce_stack takes an (S, m, c)
-array of S systems of one shape and reduces them all in the same steps,
-one per column, which is how the erasure oracle decodes a whole chunk of
-patterns at once.  The choice follows from the input shape: a single
-system stays on row_reduce, because the stack's per-system bookkeeping
-(a pivot search across the stack, fancy-indexed row moves, an array
-inverse by Fermat exponentiation over GF(p)) costs more than it saves
-when S = 1.  On a 2-core Xeon, a stack of one took 5.7 ms against
-row_reduce's 1.55 ms on a 100 x 81 decode system over GF(65521), and
-1.3 ms against 0.66 ms on a 45 x 41 one over GF(2^16).
+or a 2-D array, and returns its reduced rows and pivots as lists.
+solve_stack takes an (m, c, S) array of S systems [A | y] of one shape
+and solves them in lockstep, every system pivoting in the same row and
+column at each step, which is how the erasure oracle decodes a whole
+chunk of patterns at once; it answers only whether each system has
+exactly one solution, and which.  A single system stays on row_reduce,
+because the stack's step (a pivot search across the stack, fancy-indexed
+row swaps, an array inverse by Fermat exponentiation over GF(p)) costs
+more than it saves when S = 1.  On a 2-core Xeon (best of 7), a stack
+of one took 8.1 ms against row_reduce's 1.9 ms on a 100 x 81 decode
+system over GF(65521), and 1.7 ms against 0.97 ms on a 45 x 41 one over
+GF(2^16).
 
 Over GF(p) the steps leave entries unreduced; only the pivot column is
 reduced when it is searched.  Each step moves an entry by less than
 p^2 < 2^32, and normalising a pivot row multiplies it by less than 2^16,
 so int64 stays exact while fewer than 2^15 steps pass between two
 reductions of the whole matrix; it is reduced every _REDUCE_EVERY steps
-and at the end.  The same holds per system in a stack.
+and at the end.  The same holds for every system of a stack.
 """
 
 from __future__ import annotations
@@ -80,65 +82,38 @@ def rank(F: Field, rows: Sequence[Sequence[int]]) -> int:
     return len(pivots)
 
 
-def row_reduce_stack(F: Field, systems: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced row echelon form of every system in an (S, m, c) int64
-    array of canonical elements, and an (S, c) boolean pivot mask.
+def solve_stack(F: Field, systems: np.ndarray) -> np.ndarray | None:
+    """The (k, S) solutions of S stacked systems [A | y] with k = c - 1
+    unknowns, given as an (m, c, S) int64 array of canonical elements,
+    the stack axis last; None unless every system has exactly one.
 
-    System s's i-th pivot column (in order) has its pivot in row i, so
-    its reduced rows and pivots are row_reduce's for that system alone.
-    The work runs on an (m, c, S) copy: with the stack axis last, each
-    step is a few vector operations of length S rather than S short
-    ones of the systems' widths.  While every system has found a pivot
-    in every column so far (the erasure oracle's usual case), all share
-    the pivot row, and a step gathers only the systems whose pivot lies
-    below it.
+    The systems are eliminated in lockstep, overwriting *systems*: at
+    column j every one takes its pivot in row j, swapped up from below
+    where its own entry there is zero, so each step is a few vector
+    operations of length S.  None is returned as soon as some system
+    has fewer than k rows, finds no pivot in a column of A, or has a
+    pivot in y (an inconsistent right-hand side).
     """
-    nsys, nrows, ncols = systems.shape
-    m = np.ascontiguousarray(systems.transpose(1, 2, 0), dtype=np.int64)
-    ranks = np.zeros(nsys, dtype=np.int64)
-    pivots = np.zeros((nsys, ncols), dtype=bool)
-    below = np.arange(nrows)[:, None]
-    for col in range(ncols):
+    k = systems.shape[1] - 1
+    m = systems
+    for col in range(k):
         column = F.reduce_vec(m[:, col])
-        candidates = (column != 0) & (below >= ranks)
-        found = candidates.any(axis=0)
-        if not found.any():
-            continue
-        r = ranks[0]
-        if found.all() and (ranks == r).all():
-            # every system pivots into row r: swap the pivot row up where it
-            # lies lower, then the step is plain slices
-            lower = np.flatnonzero(~candidates[r])
-            if len(lower):
-                rows = candidates[:, lower].argmax(axis=0)
-                m[rows, col:, lower], m[r, col:, lower] = m[r, col:, lower], m[rows, col:, lower]
-                column[rows, lower], column[r, lower] = column[r, lower], column[rows, lower]
-            pivot = F.div_vec(m[r, col:], column[r])
-            F.isub_mul(m[:, col:], column[:, None], pivot)
-            m[r, col:] = pivot
-            ranks += 1
-            pivots[:, col] = True
-        else:
-            if found.all():
-                sel, sub, factors = slice(None), m, column
-            else:
-                sel = np.flatnonzero(found)
-                sub, factors = m[:, :, sel], column[:, sel]
-            each = np.arange(sub.shape[2])
-            pivot_row = candidates[:, sel].argmax(axis=0)
-            rank = ranks[sel]
-            # as in row_reduce: the pivot row goes to row rank, whose old row
-            # moves down to the pivot's place, and only columns from col on change
-            block = sub[:, col:]
-            pivot = F.div_vec(block[pivot_row, :, each], factors[pivot_row, each][:, None])
-            block[pivot_row, :, each] = block[rank, :, each]
-            factors[pivot_row, each] = factors[rank, each]
-            F.isub_mul(block, factors[:, None], np.ascontiguousarray(pivot.T))
-            block[rank, :, each] = pivot
-            if sub is not m:
-                m[:, :, sel] = sub
-            ranks[sel] += 1
-            pivots[sel, col] = True
+        # empty once col passes the last row: too few rows
+        candidates = column[col:] != 0
+        if not candidates.any(axis=0).all():
+            return None
+        lower = np.flatnonzero(~candidates[0])
+        if len(lower):
+            rows = col + candidates[:, lower].argmax(axis=0)
+            m[rows, col:, lower], m[col, col:, lower] = m[col, col:, lower], m[rows, col:, lower]
+            column[rows, lower], column[col, lower] = column[col, lower], column[rows, lower]
+        # as in row_reduce: only columns from col on change
+        pivot = F.div_vec(m[col, col:], column[col])
+        F.isub_mul(m[:, col:], column[:, None], pivot)
+        m[col, col:] = pivot
         if (col + 1) % _REDUCE_EVERY == 0:
             m[:] = F.reduce_vec(m)
-    return F.reduce_vec(m).transpose(2, 0, 1), pivots
+    y = F.reduce_vec(m[:, k])
+    if y[k:].any():
+        return None
+    return y[:k]

@@ -20,8 +20,9 @@ products mod p, binary fields gather from log/antilog tables of O(q)
 size, so no object here grows with q^2.  The distance search keeps its
 table of low-message words as uint16 and compares candidates with it
 rather than adding to it; the erasure oracle decodes its patterns in
-stacked chunks, one linalg.row_reduce_stack per chunk.  Both are capped
-at DEFAULT_CHUNK_CAP symbols.
+stacked chunks, one linalg.solve_stack per chunk, which gives up on
+the chunk at the first step where one of its patterns fails.  Both are
+capped at DEFAULT_CHUNK_CAP symbols.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .bounds import predicted_distance
 from .construction import CodeSpec, degree_cap, slot_polynomials
 from .errors import BudgetExceeded, LrcError
 from .field import lagrange_weights
-from .linalg import rank as _rank, row_reduce_stack
+from .linalg import rank as _rank, solve_stack
 from .repair import locate_group
 
 DEFAULT_CHUNK_CAP = 1 << 20
@@ -270,13 +271,14 @@ def exhaustive_erasure_test(
     Each pattern is tried on a fresh random codeword.  The patterns are
     taken as their n - e known coordinates, in combinations order, in
     chunks of at most DEFAULT_CHUNK_CAP symbols of stacked systems
-    [G[:, known]^T | y], one row_reduce_stack per chunk; each chunk's
-    messages are one draw of a numpy generator seeded from
-    random.Random(seed), so any int seeds it.  A pattern passes only
-    when its pivots are exactly the k message columns and the solution
-    is the message sent.  Anything else (rank below k, an inconsistent
-    word, a wrong solution: what decode_erasures reports as Unrecoverable
-    or a wrong round trip) makes the answer False.
+    [G[:, known]^T | y], solved in lockstep by one solve_stack per
+    chunk; each chunk's messages are one draw of a numpy generator
+    seeded from random.Random(seed), so any int seeds it.  A pattern
+    passes only when its system has exactly one solution and that is
+    the message sent.  Anything else (rank below k, an inconsistent
+    word, a wrong solution: what decode_erasures reports as
+    Unrecoverable or a wrong round trip) makes the answer False, and
+    the first chunk holding such a pattern ends the test.
     """
     p = spec.params
     n, k = p.n, p.k
@@ -294,16 +296,13 @@ def exhaustive_erasure_test(
     size = max(1, DEFAULT_CHUNK_CAP // ((n - e) * (k + 1) or 1))
     for start in range(0, patterns, size):
         s = min(size, patterns - start)
-        known = np.fromiter(known_sets, dtype=np.intp, count=s * (n - e)).reshape(s, n - e)
+        known = np.fromiter(known_sets, dtype=np.intp, count=s * (n - e)).reshape(s, n - e).T
         msgs = rng.integers(p.q, size=(s, k))
-        systems = np.empty((s, n - e, k + 1), dtype=np.int64)
-        systems[:, :, :k] = G.T[known]
-        systems[:, :, k] = np.take_along_axis(F.matmul(msgs, G), known, axis=1)
-        reduced, pivots = row_reduce_stack(F, systems)
-        # pivots exactly on the k message columns, then row i solves column i
-        if not (pivots[:, :k].all() and not pivots[:, k].any()):
-            return False
-        if not np.array_equal(reduced[:, :k, k], msgs):
+        systems = np.empty((n - e, k + 1, s), dtype=np.int64)
+        systems[:, :k] = G[:, known].transpose(1, 0, 2)
+        systems[:, k] = np.take_along_axis(F.matmul(msgs, G).T, known, axis=0)
+        solutions = solve_stack(F, systems)
+        if solutions is None or not np.array_equal(solutions, msgs.T):
             return False
     return True
 

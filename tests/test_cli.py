@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -311,6 +312,37 @@ def test_bounds_refuses_invalid_input(capsys, n, k, r, message):
 def test_verify_accepts_a_negative_seed(capsys, code_file):
     assert main(["verify", "--spec", str(code_file), "--seed", "-1"]) == 0
     assert json.loads(capsys.readouterr().out)["all_ok"] is True
+
+
+def test_params_refuses_a_huge_field_order_at_once(capsys):
+    start = time.perf_counter()
+    assert main(["params", "--q", str(10**18 + 3), "--n", "10", "--k", "5", "--r", "3"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "exceeds 2^16" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["encode", "repair", "decode", "verify"])
+def test_code_file_with_a_huge_field_order_is_exit_2(capsys, tmp_path, code_file, command):
+    doc = json.loads(code_file.read_text())
+    doc["q"] = 10**18 + 3
+    path = tmp_path / "huge_q.json"
+    path.write_text(json.dumps(doc))
+    symbols = {"encode": ["1"] * 5, "repair": ["--index", "1"] + ["1"] * 10,
+               "decode": ["1"] * 10, "verify": []}[command]
+    start = time.perf_counter()
+    assert main([command, "--spec", str(path)] + symbols) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "exceeds 2^16" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["encode", "verify"])
+def test_deeply_nested_code_file_is_exit_2(capsys, tmp_path, command):
+    # json.loads raises RecursionError here, which is no LrcError
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    symbols = ["1"] * 5 if command == "encode" else []
+    assert main([command, "--spec", str(path)] + symbols) == 2
+    assert "bad code file: JSON nested too deeply" in capsys.readouterr().err
 
 
 def test_missing_file_is_exit_2(capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Field arithmetic and polynomial helpers."""
 
 import random
+import time
 
 import pytest
 
@@ -82,6 +83,15 @@ def test_field_construction_rejects_bad_orders():
         Field(1 << 17)
     with pytest.raises(UnsupportedField):
         Field(65537)  # prime above the cap
+
+
+def test_field_refuses_huge_orders_before_trial_division():
+    # 2^61 - 1 is prime: trial division alone would take 2^30 steps
+    start = time.perf_counter()
+    for q in (10**18 + 3, 2**61 - 1, 2**64, 3**40):
+        with pytest.raises(UnsupportedField, match="exceeds 2\\^16"):
+            Field(q)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_gf13_basics():

@@ -10,7 +10,7 @@ import pytest
 from lrcodes.errors import DivisionByZero
 from lrcodes.field import _IRREDUCIBLE, Field, binary_log_tables, smallest_primitive
 from lrcodes import linalg
-from lrcodes.linalg import row_reduce, row_reduce_stack
+from lrcodes.linalg import row_reduce, solve_stack
 from test_field import gf2_mul, gf2_pow, reference_mul
 
 ORDERS = [1 << e for e in range(2, 17)] + [2, 3, 13, 257, 65521]
@@ -198,45 +198,66 @@ def test_row_reduce_matches_scalar_gauss_jordan(q):
         got = row_reduce(F, rows)
         assert got == _scalar_gauss_jordan(F, rows)
         assert all(type(x) is int for row in got[0] for x in row)
-    # the same kinds of systems stacked by shape, so that systems of one
-    # stack find their pivots in different rows and columns
-    for nrows, ncols in [(5, 4), (3, 7), (6, 6), (7, 3), (1, 1), (0, 3), (2, 0)]:
-        stack = [_low_rank(F, rng, nrows, ncols, rng.randrange(0, 5)) for _ in range(4)]
-        stack += [[[rng.randrange(q) for _ in range(ncols)] for _ in range(nrows)] for _ in range(4)]
-        if nrows and ncols:
-            stack[4][rng.randrange(nrows)] = [0] * ncols  # an all-zero row
-            zero_col = rng.randrange(ncols)
-            for row in stack[5]:
-                row[zero_col] = 0  # an all-zero column
-            stack[6] = [[0] * ncols for _ in range(nrows)]
-        if (nrows, ncols) == (5, 4):
-            stack.append([[x % q for x in r] for r in sparse])
-        reduced, pivots = row_reduce_stack(F, np.array(stack, dtype=np.int64).reshape(len(stack), nrows, ncols))
-        assert reduced.shape == (len(stack), nrows, ncols) and pivots.shape == (len(stack), ncols)
-        for rows, got_rows, got_pivots in zip(stack, reduced, pivots):
-            want_rows, want_pivots = _scalar_gauss_jordan(F, rows)
-            assert got_rows.tolist() == want_rows
-            assert np.flatnonzero(got_pivots).tolist() == want_pivots
+
+
+def _stacked(systems):
+    """Systems given as row lists, in solve_stack's (m, c, S) layout."""
+    return np.ascontiguousarray(np.array(systems, dtype=np.int64).transpose(1, 2, 0))
+
+
+def _uniquely_solvable(F, rng, nrows, k):
+    """Rows [A | y] with A of rank k, and y = A x for a random x."""
+    q = F.order
+    while True:
+        if rng.random() < 0.5:
+            # shuffled identity rows put some pivots below their row
+            A = [[int(i == j) for j in range(k)] for i in range(k)]
+            A += [[rng.randrange(q) for _ in range(k)] for _ in range(nrows - k)]
+            rng.shuffle(A)
+        else:
+            A = [[rng.randrange(q) for _ in range(k)] for _ in range(nrows)]
+            if _scalar_gauss_jordan(F, A)[1] != list(range(k)):
+                continue
+        x = [rng.randrange(q) for _ in range(k)]
+        y = F.matmul(np.array(A, dtype=np.int64), np.array(x, dtype=np.int64)[:, None])
+        return [row + [int(v)] for row, v in zip(A, y[:, 0])], x
 
 
 @pytest.mark.parametrize("q", ORDERS)
 def test_row_reduce_stack_of_full_rank_systems(q):
-    # every system finds a pivot in every column, so the stack shares its
-    # pivot row at each step; shuffled identity rows put some pivots below it
+    # solve_stack eliminates in lockstep: every system pivots in row j at
+    # column j, so its solution is the reference's last column
     F = Field(q)
     rng = random.Random(q + 2)
-    for nrows, ncols in [(5, 4), (6, 6), (7, 3)]:
-        stack = []
-        for _ in range(6):
-            rows = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
-            rows += [[rng.randrange(q) for _ in range(ncols)] for _ in range(nrows - ncols)]
-            rng.shuffle(rows)
-            stack.append(rows)
-        reduced, pivots = row_reduce_stack(F, np.array(stack, dtype=np.int64))
-        for rows, got_rows, got_pivots in zip(stack, reduced, pivots):
-            want_rows, want_pivots = _scalar_gauss_jordan(F, rows)
-            assert got_rows.tolist() == want_rows
-            assert np.flatnonzero(got_pivots).tolist() == want_pivots
+    for nrows, k in [(5, 4), (6, 6), (7, 3), (1, 1)]:
+        stack, xs = zip(*(_uniquely_solvable(F, rng, nrows, k) for _ in range(8)))
+        solutions = solve_stack(F, _stacked(stack))
+        assert solutions.shape == (k, len(stack))
+        for rows, x, got in zip(stack, xs, solutions.T):
+            reduced, pivots = _scalar_gauss_jordan(F, rows)
+            assert pivots == list(range(k))
+            assert got.tolist() == [row[k] for row in reduced[:k]] == x
+
+
+@pytest.mark.parametrize("q", ORDERS)
+def test_solve_stack_refuses_systems_without_one_solution(q):
+    F = Field(q)
+    rng = random.Random(q + 3)
+    nrows, k = 6, 4
+    good = [_uniquely_solvable(F, rng, nrows, k)[0] for _ in range(5)]
+    deficient = [row + [0] for row in _low_rank(F, rng, nrows, k, k - 1)]
+    # a zero row of A with a nonzero y: a pivot in y
+    inconsistent = _uniquely_solvable(F, rng, nrows - 1, k)[0]
+    inconsistent.insert(rng.randrange(nrows), [0] * k + [1 + rng.randrange(q - 1)])
+    for bad in (deficient, inconsistent):
+        assert _scalar_gauss_jordan(F, bad)[1] != list(range(k))
+        for at in (0, 2, 5):
+            stack = good[:at] + [bad] + good[at:]
+            assert solve_stack(F, _stacked(stack)) is None
+    assert solve_stack(F, _stacked(good)) is not None
+    # fewer than k rows
+    short = [_uniquely_solvable(F, rng, k, k)[0][1:] for _ in range(3)]
+    assert solve_stack(F, _stacked(short)) is None
 
 
 def test_row_reduce_with_frequent_whole_matrix_reduction(monkeypatch):
@@ -248,3 +269,7 @@ def test_row_reduce_with_frequent_whole_matrix_reduction(monkeypatch):
         rows = [[rng.randrange(q) for _ in range(9)] for _ in range(7)]
         rows.append([F.add(x, y) for x, y in zip(rows[0], rows[1])])  # rank-deficient
         assert row_reduce(F, rows) == _scalar_gauss_jordan(F, rows)
+    # and solve_stack every _REDUCE_EVERY columns
+    F = Field(65521)
+    stack, xs = zip(*(_uniquely_solvable(F, rng, 9, 7) for _ in range(4)))
+    assert solve_stack(F, _stacked(stack)).T.tolist() == list(xs)

@@ -357,8 +357,8 @@ def test_exhaustive_erasure_matches_per_pattern_reference(grid_specs, ref_spec, 
     assert not exhaustive_erasure_test(zeroed, 3)
 
 
-# every grid code has at most 8,008 patterns at d - 1; the cap bounds the
-# test's time if the grid grows
+# every grid code has at most 8,008 patterns at d - 1 and 5,005 at d; the
+# cap bounds the test's time if the grid grows
 GRID_PATTERN_CAP = 10_000
 
 
@@ -367,6 +367,9 @@ def test_erasure_oracle_passes_on_grid_codes(grid_specs):
         d = predicted_distance(p)
         if comb(p.n, d - 1) <= GRID_PATTERN_CAP:
             assert exhaustive_erasure_test(spec, d - 1, budget=GRID_PATTERN_CAP)
+        # erasing the support of a minimum-weight word always fails
+        if comb(p.n, d) <= GRID_PATTERN_CAP:
+            assert not exhaustive_erasure_test(spec, d, budget=GRID_PATTERN_CAP)
 
 
 def test_run_verification_report(ref_spec):
