@@ -10,8 +10,8 @@ codeword is the value vector on the remaining n points.
 build_code evaluates that structure once, with the field's vector
 kernels, into the generator matrix G: one row per message slot, held
 by CodeSpec as one read-only k x n int64 array.  It certifies rank k
-from the slots' degrees, with no elimination; the verify module still
-checks the rank of G by elimination, and checks G and the shortening
+from the slots' degrees, with no elimination; the verify module reads
+the rank of G off its distance walk, and checks G and the shortening
 against slot_polynomials, the independent polynomial path.  encode is
 msg . G and nothing else.
 """
@@ -25,6 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
+    BudgetExceeded,
     FieldTooSmall,
     InternalInconsistency,
     LengthMismatch,
@@ -44,6 +45,11 @@ from .goodpoly import (
     make_partition,
     normalize_gamma,
 )
+
+
+# Cap on k * n, the symbols of the generator matrix: 2^24 of them take
+# 128 MiB as int64, before the copies build_code makes.
+MAX_GENERATOR_SYMBOLS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -122,6 +128,10 @@ def validate_params(q: int, n: int, k: int, r: int) -> CodeParams:
         t = r + 1 - s
     m = ceil(n / (r + 1))
     n_bar = m * (r + 1)
+    if k * n > MAX_GENERATOR_SYMBOLS:
+        raise BudgetExceeded(
+            f"k * n = {k * n} generator symbols exceeds the cap of {MAX_GENERATOR_SYMBOLS} (2^24)"
+        )
     F = Field(q)
     H = find_subgroup(F, r + 1)
     reachable = q - 1 if H.kind == MULTIPLICATIVE else q

@@ -6,11 +6,11 @@ class LrcError(Exception):
 
 
 class NotAPrimePower(LrcError):
-    """Field order is neither a prime nor a supported power of two."""
+    """Field order is below 2 or not a prime power."""
 
 
 class UnsupportedField(LrcError):
-    """Field order is above 2^16, or the square of an odd prime."""
+    """Field order is above 2^16, or a power p^e of an odd prime p with e >= 2."""
 
 
 class NotAFieldElement(LrcError, ValueError):
@@ -62,7 +62,7 @@ class Unrecoverable(LrcError):
 
 
 class BudgetExceeded(LrcError):
-    """Requested exhaustive check is larger than the allowed budget."""
+    """Requested work or storage is larger than the allowed budget or cap."""
 
 
 class InternalInconsistency(LrcError):

@@ -56,17 +56,17 @@ _IRREDUCIBLE = {
 _GENERATOR = {8: 3, 9: 7, 12: 3, 14: 7, 16: 3}
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
+def _prime_factors(n: int) -> list[int]:
+    factors, d = [], 2
     while d * d <= n:
         if n % d == 0:
-            return False
-        d += 2
-    return True
+            factors.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        factors.append(n)
+    return factors
 
 
 class Field:
@@ -84,16 +84,15 @@ class Field:
         # before the trial division, which would take ~sqrt(q) steps
         if q > MAX_ORDER:
             raise UnsupportedField(f"field order {q} exceeds 2^16")
-        if _is_prime(q):
+        factors = _prime_factors(q)
+        if factors == [q]:
             p, e, modulus = q, 1, None
-        elif q & (q - 1) == 0:
+        elif factors == [2]:
             e = q.bit_length() - 1
             p, modulus = 2, _IRREDUCIBLE[e]
+        elif len(factors) == 1:
+            raise UnsupportedField(f"odd-characteristic extension field {q} not supported")
         else:
-            # odd prime powers p^e with e > 1 land here too
-            root = round(q ** 0.5)
-            if root * root == q and _is_prime(root):
-                raise UnsupportedField(f"odd-characteristic extension field {q} not supported")
             raise NotAPrimePower(f"{q} is not a prime or a power of two")
         self.order = q
         self.characteristic = p
@@ -262,19 +261,6 @@ class Field:
         for i in range(A.shape[1]):
             out ^= exp[logs_a[:, i, None] + logs_b[None, i, :]]
         return out
-
-
-def _prime_factors(n: int) -> list[int]:
-    factors, d = [], 2
-    while d * d <= n:
-        if n % d == 0:
-            factors.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        factors.append(n)
-    return factors
 
 
 def smallest_primitive(F: Field) -> int:

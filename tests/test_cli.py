@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -319,6 +320,23 @@ def test_params_refuses_a_huge_field_order_at_once(capsys):
     assert main(["params", "--q", str(10**18 + 3), "--n", "10", "--k", "5", "--r", "3"]) == 2
     assert time.perf_counter() - start < 1.0
     assert "exceeds 2^16" in capsys.readouterr().err
+
+
+def test_construct_refuses_a_huge_generator_at_once(capsys, tmp_path):
+    out = tmp_path / "huge.json"
+    args = ["construct", "--q", "65536", "--n", "65534", "--k", "30000", "--r", "15"]
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        assert main(args + ["--out", str(out)]) == 2
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0
+    assert peak < 1 << 20
+    assert "exceeds the cap" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["encode", "repair", "decode", "verify"])

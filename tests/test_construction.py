@@ -2,6 +2,7 @@
 
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -16,6 +17,7 @@ from lrcodes.construction import (
     validate_params,
 )
 from lrcodes.errors import (
+    BudgetExceeded,
     FieldTooSmall,
     InternalInconsistency,
     LengthMismatch,
@@ -132,6 +134,28 @@ def test_degree_certificate_refuses_layout(monkeypatch, a_slots):
     )
     with pytest.raises(InternalInconsistency, match="slot degrees"):
         build_code(validate_params(13, 10, 5, 3))
+
+
+def test_validate_params_refuses_a_huge_generator_at_once():
+    # k * n = 1.97e9 symbols, about 15 GiB as int64
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(BudgetExceeded, match="2\\^24"):
+            validate_params(65536, 65534, 30000, 15)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0
+    assert peak < 1 << 20
+
+
+def test_readme_long_code_is_under_the_size_cap():
+    # k * n = 8e6 <= 2^24: the README's long code still builds
+    p = validate_params(65536, 4000, 2000, 15)
+    assert p.k * p.n <= construction.MAX_GENERATOR_SYMBOLS
+    assert build_code(p).G.shape == (2000, 4000)
 
 
 def test_build_long_code_is_fast():

@@ -73,12 +73,13 @@ def test_modulus_table_matches_independent_derivation():
 
 
 def test_field_construction_rejects_bad_orders():
-    with pytest.raises(NotAPrimePower):
-        Field(12)
-    with pytest.raises(NotAPrimePower):
-        Field(1)
-    with pytest.raises(UnsupportedField):
-        Field(9)  # odd prime power
+    for q in (12, 1, 6, 100):
+        with pytest.raises(NotAPrimePower):
+            Field(q)
+    # odd prime powers, not only squares of primes (81 = 9^2, 27 = 3^3)
+    for q in (9, 27, 81, 125, 243, 3**10):
+        with pytest.raises(UnsupportedField, match="odd-characteristic"):
+            Field(q)
     with pytest.raises(UnsupportedField):
         Field(1 << 17)
     with pytest.raises(UnsupportedField):

@@ -119,6 +119,10 @@ def test_distance_of_rank_deficient_generator_is_zero(ref_spec):
             w, msg = minimum_weight_word(spec, 5_000_000, chunk_cap=cap)
             assert w == 0
             assert any(msg) and not any(encode(msg, spec))
+        # the report reads rank_ok off the same walk; elimination is the reference
+        report = run_verification(spec, budget=5_000_000)
+        assert report.rank_ok == (rank(F, spec.G) == spec.params.k)
+        assert not report.rank_ok and not report.all_ok
 
 
 # the certify benchmark's codes: (weight, witness) as the walk over an
@@ -240,8 +244,15 @@ def test_dual_vector_annihilates_codewords(ref_spec):
             assert acc == 0
 
 
-def test_verify_shortening(ref_spec):
-    assert verify_shortening(ref_spec)
+@pytest.fixture(scope="module")
+def long_specs():
+    """The two 1,598-symbol codes (t = 2, d = 746), over GF(65521) and GF(2^16)."""
+    return [build_code(validate_params(q, 1598, 800, 15)) for q in (65521, 65536)]
+
+
+def test_verify_shortening(ref_spec, long_specs):
+    for spec in [ref_spec, *long_specs]:
+        assert verify_shortening(spec)
 
 
 def _tampered_specs(spec):
@@ -256,9 +267,19 @@ def _tampered_specs(spec):
     yield replace(spec, params=replace(spec.params, r=spec.params.r + 1))
 
 
-def test_verify_shortening_rejects_tampered_spec(ref_spec):
+def test_verify_shortening_rejects_tampered_spec(ref_spec, long_specs):
     for bad in _tampered_specs(ref_spec):
         assert not verify_shortening(bad)
+    for spec in long_specs:
+        *_, raised_r = _tampered_specs(spec)
+        assert not verify_shortening(raised_r)
+    # x * g_tilde lifts the top slot of (13, 11, 6, 2) to degree 12 = n_bar.
+    # x^12 = 1 on all 12 block points, so its word is that of a polynomial
+    # of degree <= 9: the words embed, and only the slot's degree is wrong.
+    spec = build_code(validate_params(13, 11, 6, 2))
+    _, lifted, _ = _tampered_specs(spec)
+    assert _embeds_by_rank(lifted)
+    assert not verify_shortening(lifted)
 
 
 def _embeds_by_rank(spec):
