@@ -10,9 +10,7 @@ is always 0 or 1, landing the code on whichever bound applies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil
-
-from .construction import CodeParams
+from .construction import CodeParams, ceil_div
 from .errors import InternalInconsistency
 
 NOT_APPLICABLE = None
@@ -30,13 +28,13 @@ class BoundsReport:
 
 def singleton_like_bound(n: int, k: int, r: int) -> int:
     """d <= n - k - ceil(k/r) + 2 for any code with locality r."""
-    return n - k - ceil(k / r) + 2
+    return n - k - ceil_div(k, r) + 2
 
 
 def rate_bound_holds(n: int, k: int, r: int) -> bool:
     """Whether k <= n - ceil(n/(r+1)), necessary for locality r with
     disjoint repair groups."""
-    return k <= n - ceil(n / (r + 1))
+    return k <= n - ceil_div(n, r + 1)
 
 
 def improved_bound(n: int, k: int, r: int) -> int | None:
@@ -51,12 +49,12 @@ def improved_bound(n: int, k: int, r: int) -> int | None:
         return NOT_APPLICABLE
     if k % r != 0 and k % r < s:
         return NOT_APPLICABLE
-    return n - k - ceil(k / r) + 1
+    return n - k - ceil_div(k, r) + 1
 
 
 def predicted_distance(params: CodeParams) -> int:
     """The built code's exact minimum distance: n - k - ceil(k'/r) + 2."""
-    return params.n - params.k - ceil(params.k_prime / params.r) + 2
+    return params.n - params.k - ceil_div(params.k_prime, params.r) + 2
 
 
 def optimality_report(params: CodeParams) -> BoundsReport:
@@ -69,7 +67,7 @@ def optimality_report(params: CodeParams) -> BoundsReport:
     n, k, r, s, t = params.n, params.k, params.r, params.s, params.t
     d_sing = singleton_like_bound(n, k, r)
     d_pred = predicted_distance(params)
-    delta = ceil(params.k_prime / r) - ceil(k / r)
+    delta = ceil_div(params.k_prime, r) - ceil_div(k, r)
     if delta not in (0, 1):
         raise InternalInconsistency(f"delta = {delta} outside {{0, 1}} for {params}")
     if d_sing - d_pred != delta:

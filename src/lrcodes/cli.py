@@ -28,7 +28,7 @@ from .bounds import (
     rate_bound_holds,
     singleton_like_bound,
 )
-from .construction import CodeSpec, build_code, encode, validate_params
+from .construction import CodeParams, CodeSpec, build_code, encode, validate_params
 from .errors import LrcError, Unrecoverable
 from .repair import decode_erasures, repair_group_values, repair_local
 from .verify import run_verification
@@ -40,25 +40,23 @@ DEFAULT_BUDGET = 5_000_000
 # -- persistence --------------------------------------------------------
 
 
+def _params_doc(params: CodeParams) -> dict:
+    """The fields of CodeParams in order, m_blocks under its JSON name m."""
+    return {"m" if name == "m_blocks" else name: v for name, v in asdict(params).items()}
+
+
 def spec_to_dict(spec: CodeSpec) -> dict:
-    p = spec.params
+    """The code file's document; k_prime is left out, as k + t."""
+    params = _params_doc(spec.params)
+    del params["k_prime"]
     return {
         "version": SPEC_VERSION,
-        "q": p.q,
-        "n": p.n,
-        "k": p.k,
-        "r": p.r,
-        "s": p.s,
-        "t": p.t,
-        "m": p.m_blocks,
-        "n_bar": p.n_bar,
-        "subgroup": {"kind": spec.subgroup.kind, "elements": list(spec.subgroup.elements)},
-        "blocks": [list(b) for b in spec.partition.blocks],
-        "B": list(spec.partition.B),
-        "gamma": spec.good.gamma,
-        "g_tilde": list(spec.good.g_tilde),
-        "h_B": list(spec.h_B),
-        "eval_points": list(spec.eval_points),
+        **params,
+        "subgroup": asdict(spec.subgroup),
+        **asdict(spec.partition),
+        **asdict(spec.good),
+        "h_B": spec.h_B,
+        "eval_points": spec.eval_points,
         "generator_matrix": spec.G.tolist(),
     }
 
@@ -162,24 +160,7 @@ def cmd_params(args: argparse.Namespace) -> int:
         f"s={params.s} t={params.t} m={params.m_blocks} n_bar={params.n_bar} k'={params.k_prime}"
     )
     print(f"minimum distance d = {report.d_predicted} ({report.applicable_reason})")
-    doc = {
-        "q": params.q,
-        "n": params.n,
-        "k": params.k,
-        "r": params.r,
-        "s": params.s,
-        "t": params.t,
-        "m": params.m_blocks,
-        "n_bar": params.n_bar,
-        "k_prime": params.k_prime,
-        "d_singleton": report.d_singleton,
-        "d_improved": report.d_improved,
-        "delta": report.delta,
-        "d_predicted": report.d_predicted,
-        "optimal": report.optimal,
-        "applicable_reason": report.applicable_reason,
-    }
-    print(json.dumps(doc, indent=2))
+    print(json.dumps({**_params_doc(params), **asdict(report)}, indent=2))
     return 0
 
 

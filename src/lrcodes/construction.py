@@ -19,7 +19,6 @@ msg . G and nothing else.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil
 from typing import Sequence
 
 import numpy as np
@@ -84,6 +83,10 @@ class CodeSpec:
     """A built code.  G is its k x n generator matrix: whatever rows it
     is given become one read-only int64 array here, so every consumer
     slices the same array.  (No value equality: an array field has none.)
+
+    groups holds, per block, the 0-based coordinates of its surviving
+    points in ascending order, and group_of the 0-based block of each
+    coordinate: the repair groups, of which only the last can be short.
     """
 
     params: CodeParams
@@ -93,6 +96,8 @@ class CodeSpec:
     good: GoodPolynomial
     h_B: tuple[int, ...]
     eval_points: tuple[int, ...]
+    groups: tuple[tuple[int, ...], ...]
+    group_of: tuple[int, ...]
     layout: MessageLayout
     G: np.ndarray
 
@@ -100,6 +105,11 @@ class CodeSpec:
         G = np.array(self.G, dtype=np.int64)
         G.flags.writeable = False
         object.__setattr__(self, "G", G)
+
+
+def ceil_div(a: int, b: int) -> int:
+    """ceil(a / b) in integer arithmetic, exact for ints of any size."""
+    return -(-a // b)
 
 
 def slot_count(k_prime: int, r: int, i: int) -> int:
@@ -126,7 +136,7 @@ def validate_params(q: int, n: int, k: int, r: int) -> CodeParams:
         s, t = r + 1, 0
     else:
         t = r + 1 - s
-    m = ceil(n / (r + 1))
+    m = ceil_div(n, r + 1)
     n_bar = m * (r + 1)
     if k * n > MAX_GENERATOR_SYMBOLS:
         raise BudgetExceeded(
@@ -148,7 +158,7 @@ def validate_params(q: int, n: int, k: int, r: int) -> CodeParams:
 def degree_cap(params: CodeParams) -> int:
     """The parent code's degree cap k' + ceil(k'/r) - 2: no codeword
     polynomial has a higher degree."""
-    return params.k_prime + ceil(params.k_prime / params.r) - 2
+    return params.k_prime + ceil_div(params.k_prime, params.r) - 2
 
 
 def message_layout(params: CodeParams) -> MessageLayout:
@@ -234,11 +244,15 @@ def build_code(params: CodeParams) -> CodeSpec:
     good = normalize_gamma(F, good_polynomial(F, H), partition)
     h_B = tuple(poly_from_roots(F, partition.B))
     dropped = set(partition.B)
-    eval_points = tuple(sorted(x for block in blocks for x in block if x not in dropped))
-    if len(eval_points) != params.n:
+    located = sorted((x, g) for g, block in enumerate(blocks) for x in block if x not in dropped)
+    if len(located) != params.n:
         raise InternalInconsistency(
-            f"evaluation set has {len(eval_points)} points, expected n = {params.n}"
+            f"evaluation set has {len(located)} points, expected n = {params.n}"
         )
+    eval_points, group_of = zip(*located)
+    groups: list[list[int]] = [[] for _ in blocks]
+    for j, g in enumerate(group_of):
+        groups[g].append(j)
     layout = message_layout(params)
     cap = degree_cap(params)
     deg_gt, deg_hb = len(good.g_tilde) - 1, len(h_B) - 1
@@ -255,6 +269,8 @@ def build_code(params: CodeParams) -> CodeSpec:
         good=good,
         h_B=h_B,
         eval_points=eval_points,
+        groups=tuple(map(tuple, groups)),
+        group_of=group_of,
         layout=layout,
         G=G,
     )

@@ -40,13 +40,10 @@ def locate_group(spec: CodeSpec, i: int) -> tuple[int, tuple[int, ...], tuple[in
     the helper points (surviving group members), and the points whose
     value is implicitly zero.  Helpers plus zeros always number r."""
     _check_index(spec, i)
-    alpha = spec.eval_points[i - 1]
-    dropped = set(spec.partition.B)
-    for g_idx, block in enumerate(spec.partition.blocks, start=1):
-        if alpha in block:
-            helpers = tuple(x for x in block if x != alpha and x not in dropped)
-            return g_idx, helpers, spec.partition.B if dropped & set(block) else ()
-    raise IndexOutOfRange(f"point {alpha} missing from every block (corrupt spec)")
+    g = spec.group_of[i - 1]
+    group = spec.groups[g]
+    helpers = tuple(spec.eval_points[j] for j in group if j != i - 1)
+    return g + 1, helpers, spec.partition.B if len(group) <= spec.params.r else ()
 
 
 def repair_local(spec: CodeSpec, i: int, helper_values: Sequence[tuple[int, int]]) -> int:
@@ -83,14 +80,14 @@ def repair_group_values(
     pairs repair_local takes: the helpers' values read from a received
     word, then zeros at the group's dropped points."""
     _check_length(spec, received)
-    g_idx, helpers, zeros = locate_group(spec, i)
-    point_to_idx = {alpha: j for j, alpha in enumerate(spec.eval_points)}
+    g_idx, _, zeros = locate_group(spec, i)
     pairs = []
-    for alpha in helpers:
-        v = received[point_to_idx[alpha]]
-        if v is ERASED:
-            raise Unrecoverable(f"helper at point {alpha} is itself erased")
-        pairs.append((alpha, v))
+    for j in spec.groups[g_idx - 1]:
+        if j != i - 1:
+            alpha, v = spec.eval_points[j], received[j]
+            if v is ERASED:
+                raise Unrecoverable(f"helper at point {alpha} is itself erased")
+            pairs.append((alpha, v))
     pairs.extend((beta, 0) for beta in zeros)
     return g_idx, pairs
 

@@ -107,32 +107,28 @@ def generator_matches(spec: CodeSpec) -> bool:
 # -- distance by exhaustive enumeration --------------------------------
 
 
-def brute_force_distance(
-    spec: CodeSpec, budget: int, chunk_cap: int = DEFAULT_CHUNK_CAP
-) -> int:
+def brute_force_distance(spec: CodeSpec, budget: int) -> int:
     """Exact minimum weight over all q^k - 1 nonzero codewords.
 
     Scaling a codeword by c != 0 keeps its weight, so one message per
     scalar class decides all of them: the (q^k - 1)/(q - 1) messages
     whose highest nonzero digit is 1 (see minimum_weight_word).  The
     budget still gates q^k, the size of the space whose minimum this is.
-    Memory stays within about chunk_cap symbols for any q and n, and the
-    answer does not depend on chunk_cap (it only shapes the batches).
+    Memory stays within about DEFAULT_CHUNK_CAP symbols for any q and n,
+    and the answer does not depend on the cap (it only shapes the batches).
     """
-    weight, _ = minimum_weight_word(spec, budget, chunk_cap)
+    weight, _ = minimum_weight_word(spec, budget)
     return weight
 
 
-def minimum_weight_word(
-    spec: CodeSpec, budget: int, chunk_cap: int = DEFAULT_CHUNK_CAP
-) -> tuple[int, list[int]]:
+def minimum_weight_word(spec: CodeSpec, budget: int) -> tuple[int, list[int]]:
     """Minimum nonzero weight and one message achieving it, normalised
     so that its highest nonzero digit is 1.
 
     For each position top of that digit, the digits above it are 0 and
     those below it are free.  Digits 0..L-1 are the low digits, digit 0
     turning fastest, with L = min(k - 1, the largest L with
-    q^L * n <= chunk_cap); only digits L..top-1 are walked, one
+    q^L * n <= DEFAULT_CHUNK_CAP); only digits L..top-1 are walked, one
     combination at a time.  A walked combination's high part h adds to
     each low word w, and h + w has weight n minus the number of
     coordinates where w equals -h, so the walk compares with the low
@@ -149,7 +145,7 @@ def minimum_weight_word(
     -(h + v * G[L-1]) for every fan value v at once, in the order the
     q^L-column table of digits 0..L-1 would have.  When even digit 0's
     q words exceed the cap (L = 1), the fan values are taken in slices
-    of chunk_cap // n.
+    of DEFAULT_CHUNK_CAP // n.
     """
     F = spec.field
     p = spec.params
@@ -159,7 +155,7 @@ def minimum_weight_word(
         raise BudgetExceeded(f"distance search needs budget >= {total} (q^k), got {budget}")
     G = spec.G
     low = min(1, k - 1)
-    while low < k - 1 and q ** (low + 1) * n <= chunk_cap:
+    while low < k - 1 and q ** (low + 1) * n <= DEFAULT_CHUNK_CAP:
         low += 1
     # column i holds the word of the message with digits (i // q^d) % q
     table = np.zeros((n, q ** max(low - 1, 0)), dtype=np.uint16)
@@ -168,7 +164,7 @@ def minimum_weight_word(
         table[:, : q ** (d + 1)] = F.add_vec(block, table[:, None, : q**d]).reshape(n, -1)
     # k = 1 has no fan digit; more than one slice only when low = 1
     fans = q if low else 1
-    step = max(1, chunk_cap // (n * table.shape[1]))
+    step = max(1, DEFAULT_CHUNK_CAP // (n * table.shape[1]))
     best_w, best_m = n + 1, None
     for start in range(0, fans, step):
         values = np.arange(start, min(start + step, fans))
@@ -206,23 +202,20 @@ def verify_locality(spec: CodeSpec) -> bool:
     of its repair group's helpers, with the weights repair_local uses.
 
     The known zeros of the short group have no column and contribute
-    nothing.  One coordinate per repair group is enough: on the r+1
-    points of a block the polynomials of degree <= r-1 satisfy exactly
-    one linear relation, sum_j w_j f(x_j) = 0 with the barycentric
-    weights w_j = 1/prod_{l != j}(x_j - x_l), and the Lagrange relation
-    of every coordinate in the block is a multiple of it.
+    nothing.  One coordinate per repair group of spec.groups, its first,
+    is enough: on the r+1 points of a block the polynomials of degree
+    <= r-1 satisfy exactly one linear relation, sum_j w_j f(x_j) = 0
+    with the barycentric weights w_j = 1/prod_{l != j}(x_j - x_l), and
+    the Lagrange relation of every coordinate in the block is a multiple
+    of it.
     """
     F = spec.field
     G = spec.G
-    pos = {alpha: j for j, alpha in enumerate(spec.eval_points)}
-    dropped = set(spec.partition.B)
-    for block in spec.partition.blocks:
-        x0 = next(x for x in block if x not in dropped)
-        _, helpers, zeros = locate_group(spec, pos[x0] + 1)
-        weights = lagrange_weights(F, helpers + zeros, x0)
-        cols = [pos[x] for x in helpers]
+    for j0, *cols in spec.groups:
+        _, helpers, zeros = locate_group(spec, j0 + 1)
+        weights = lagrange_weights(F, helpers + zeros, spec.eval_points[j0])
         combo = F.matmul(G[:, cols], np.array(weights[: len(cols)])[:, None])
-        if not np.array_equal(combo[:, 0], G[:, pos[x0]]):
+        if not np.array_equal(combo[:, 0], G[:, j0]):
             return False
     return True
 

@@ -1,5 +1,6 @@
 """Shared fixtures: the acceptance grid and its built codes; the
-codeword polynomial of a message, the tests' reference for G."""
+codeword polynomial of a message, the tests' reference for G; the
+block scan, the tests' reference for locate_group."""
 
 from typing import Sequence
 
@@ -68,3 +69,15 @@ def assemble_polynomial(msg: Sequence[int], spec: CodeSpec) -> list[int]:
         if a:
             f = poly_add(F, f, poly_scale(F, a, slot))
     return f
+
+
+def scan_group(spec: CodeSpec, i: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """locate_group(spec, i) by scanning every block of the partition for
+    coordinate i's point, with no use of spec.groups or spec.group_of."""
+    alpha = spec.eval_points[i - 1]
+    dropped = set(spec.partition.B)
+    for g_idx, block in enumerate(spec.partition.blocks, start=1):
+        if alpha in block:
+            helpers = tuple(x for x in block if x != alpha and x not in dropped)
+            return g_idx, helpers, spec.partition.B if dropped & set(block) else ()
+    raise AssertionError(f"point {alpha} missing from every block")

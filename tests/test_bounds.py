@@ -1,5 +1,7 @@
 """Distance bounds, the delta dichotomy, and the optimality verdict."""
 
+import json
+
 import pytest
 
 from lrcodes.bounds import (
@@ -10,6 +12,7 @@ from lrcodes.bounds import (
     rate_bound_holds,
     singleton_like_bound,
 )
+from lrcodes.cli import main
 from lrcodes.construction import validate_params
 
 
@@ -19,6 +22,24 @@ def test_singleton_like_bound():
     # with r = k this is the ordinary Singleton bound
     for n, k in [(10, 4), (8, 3), (15, 7)]:
         assert singleton_like_bound(n, k, k) == n - k + 1
+
+
+# float division rounded ceil(k / r) here: the command line printed
+# d_singleton 24 for the first, and the second read ...497
+@pytest.mark.parametrize(
+    "n,k,r,d",
+    [(10**18 + 1, 666666666666666667, 2, 2), (10**20, 10**19 + 1, 3, 86666666666666666667)],
+)
+def test_bounds_are_exact_for_huge_integers(capsys, n, k, r, d):
+    def up(a, b):
+        return (a + b - 1) // b
+
+    assert singleton_like_bound(n, k, r) == n - k - up(k, r) + 2 == d
+    assert main(["bounds", "--n", str(n), "--k", str(k), "--r", str(r)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["d_singleton"] == d
+    assert doc["d_improved"] == improved_bound(n, k, r)
+    assert doc["rate_bound_holds"] == rate_bound_holds(n, k, r) == (k <= n - up(n, r + 1))
 
 
 def test_rate_bound():

@@ -85,6 +85,16 @@ def test_generator_matrix_is_one_read_only_array(code_file):
         assert np.array_equal(spec.G, built.G)
 
 
+def test_groups_survive_load_and_replace(code_file):
+    # the code file stores no groups: loading rebuilds them, replace keeps them
+    built = build_code(validate_params(13, 10, 5, 3))
+    assert built.groups == ((0, 4, 6, 9), (1, 2, 7, 8), (3, 5))
+    assert built.group_of == (0, 1, 1, 2, 0, 2, 0, 1, 1, 0)
+    for spec in (load_spec_file(code_file), replace(built, G=built.G.tolist())):
+        assert spec.groups == built.groups
+        assert spec.group_of == built.group_of
+
+
 # sha256 of construct output, fixed when the generator matrix was still
 # built by assembling and evaluating one polynomial per row
 GOLDEN = {

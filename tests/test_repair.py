@@ -1,10 +1,12 @@
 """Local repair and erasure decoding."""
 
 import random
-from itertools import combinations
+import time
+from itertools import chain, combinations
 
 import pytest
 
+from conftest import scan_group
 from lrcodes.construction import build_code, encode, validate_params
 from lrcodes.errors import (
     DuplicateAbscissa,
@@ -39,6 +41,54 @@ def test_locate_group_always_r_known_values(grid_specs):
         for i in range(1, p.n + 1):
             _, helpers, zeros = locate_group(spec, i)
             assert len(helpers) + len(zeros) == p.r
+
+
+@pytest.fixture(scope="module")
+def group_specs(grid_specs):
+    """The grid codes, two benchmark codes (t = 2) and one with t = 0."""
+    extra = ((65536, 62, 40, 7), (65521, 118, 80, 4), (13, 12, 5, 3))
+    return [spec for _, spec in grid_specs] + [build_code(validate_params(*c)) for c in extra]
+
+
+def test_locate_group_matches_block_scan(group_specs):
+    for spec in group_specs:
+        for i in range(1, spec.params.n + 1):
+            assert locate_group(spec, i) == scan_group(spec, i), (spec.params, i)
+
+
+def test_groups_are_the_blocks_without_b(group_specs):
+    for spec in group_specs:
+        p, blocks, B = spec.params, spec.partition.blocks, spec.partition.B
+        assert sorted(chain.from_iterable(spec.groups)) == list(range(p.n))
+        assert len(spec.groups) == len(blocks) == p.m_blocks
+        for g, (group, block) in enumerate(zip(spec.groups, blocks)):
+            assert tuple(spec.eval_points[j] for j in group) == tuple(
+                x for x in block if x not in B
+            )
+            assert all(spec.group_of[j] == g for j in group)
+            # only the last group is short, and only when t > 0
+            short = g == len(blocks) - 1 and p.t > 0
+            assert len(group) == (p.s if short else p.r + 1)
+        assert len(spec.group_of) == p.n
+
+
+def test_repair_time_does_not_grow_with_n():
+    # a repair reads only its own group: at the parent, which scanned
+    # every block and indexed all n points, n = 20,003 took 52x n = 118
+    cases = []
+    for n in (118, 20_003):
+        spec = build_code(validate_params(65521, n, 80, 4))
+        received = encode(list(range(80)), spec)
+        expected, received[n - 1] = received[n - 1], None
+        cases.append((spec, received, n, expected))
+    best = [float("inf")] * len(cases)
+    for _ in range(20):
+        for c, (spec, received, i, expected) in enumerate(cases):
+            start = time.perf_counter()
+            value = repair_coordinate(spec, received, i)
+            best[c] = min(best[c], time.perf_counter() - start)
+            assert value == expected
+    assert best[1] <= 3 * best[0], best
 
 
 def test_locate_group_range(ref_spec):

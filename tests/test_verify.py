@@ -54,18 +54,20 @@ def test_distance_reference_values(ref_spec):
     assert brute_force_distance(spec, 5_000_000) == 6
 
 
-def test_distance_chunk_invariance(ref_spec):
+def test_distance_chunk_invariance(ref_spec, monkeypatch):
     # caps in symbols: one digit in two slices, one digit whole, four digits
     for cap in (70, 640, 655360):
-        assert brute_force_distance(ref_spec, 5_000_000, chunk_cap=cap) == 4
+        monkeypatch.setattr(verify, "DEFAULT_CHUNK_CAP", cap)
+        assert brute_force_distance(ref_spec, 5_000_000) == 4
 
 
-def test_distance_memory_is_capped_for_k1():
+def test_distance_memory_is_capped_for_k1(monkeypatch):
     # q codewords of n symbols would be a 20 MiB table; the cap slices it
     spec = build_code(validate_params(4096, 300, 1, 2))
+    monkeypatch.setattr(verify, "DEFAULT_CHUNK_CAP", 1 << 16)
     tracemalloc.start()
     try:
-        assert brute_force_distance(spec, 5_000_000, chunk_cap=1 << 16) == 300
+        assert brute_force_distance(spec, 5_000_000) == 300
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -94,19 +96,20 @@ def test_minimum_weight_word_is_witness(ref_spec):
 @pytest.mark.parametrize(
     "q,n,k,r", [(13, 5, 1, 2), (13, 5, 2, 2), (13, 8, 3, 3), (16, 10, 4, 3), (13, 10, 5, 3)]
 )
-def test_scalar_class_walk_matches_full_walk(q, n, k, r):
+def test_scalar_class_walk_matches_full_walk(q, n, k, r, monkeypatch):
     # caps in symbols: a sliced digit-0 table (1, 20, 70), then tables of
     # one, two and every digit below the top one
     spec = build_code(validate_params(q, n, k, r))
     expected = _naive_distance(spec)
     for cap in (1, 20, 70, 640, 4096, 1 << 20):
-        w, msg = minimum_weight_word(spec, 5_000_000, chunk_cap=cap)
+        monkeypatch.setattr(verify, "DEFAULT_CHUNK_CAP", cap)
+        w, msg = minimum_weight_word(spec, 5_000_000)
         assert w == expected, cap
         assert sum(1 for v in encode(msg, spec) if v) == w
         assert [v for v in msg if v][-1] == 1
 
 
-def test_distance_of_rank_deficient_generator_is_zero(ref_spec):
+def test_distance_of_rank_deficient_generator_is_zero(ref_spec, monkeypatch):
     # row j+1 = 5 * row j: the message with 8 at digit j and 1 at digit
     # j+1 encodes to 0.  At cap 70 the table holds digit 0 only, so j = 1
     # puts the zero word on a walked digit; at 2^20 both are in the table.
@@ -116,7 +119,8 @@ def test_distance_of_rank_deficient_generator_is_zero(ref_spec):
         G[j + 1] = tuple(F.mul(5, v) for v in G[j])
         spec = replace(ref_spec, G=tuple(G))
         for cap in (70, 1 << 20):
-            w, msg = minimum_weight_word(spec, 5_000_000, chunk_cap=cap)
+            monkeypatch.setattr(verify, "DEFAULT_CHUNK_CAP", cap)
+            w, msg = minimum_weight_word(spec, 5_000_000)
             assert w == 0
             assert any(msg) and not any(encode(msg, spec))
         # the report reads rank_ok off the same walk; elimination is the reference
@@ -157,14 +161,15 @@ def test_distance_table_memory_at_default_cap():
 
 
 @pytest.mark.parametrize("q,n,k,r,d", [(4096, 300, 2, 2, 299), (256, 200, 3, 2, 197)])
-def test_distance_memory_is_capped_above_k1(q, n, k, r, d):
+def test_distance_memory_is_capped_above_k1(q, n, k, r, d, monkeypatch):
     # k = 2: q codewords of n symbols exceed the cap, so digit 0's table
     # is built and read in slices; k = 3: digit 0's table fits but a
     # two-digit one (100 MiB) would not.  Both stay under the k = 1 bound.
     spec = build_code(validate_params(q, n, k, r))
+    monkeypatch.setattr(verify, "DEFAULT_CHUNK_CAP", 1 << 16)
     tracemalloc.start()
     try:
-        assert brute_force_distance(spec, 10**8, chunk_cap=1 << 16) == d
+        assert brute_force_distance(spec, 10**8) == d
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
