@@ -1,7 +1,7 @@
 """Command-line surface and the JSON on-disk format for built codes.
 
 Exit codes: 0 success, 2 invalid input or parameters, 3 verification or
-decoding failure.  All symbol I/O is space-separated decimal integers;
+decoding failure.  All symbol I/O is space-separated ASCII-digit integers;
 "?" marks an erased coordinate in decode input.
 
 A code file stores (q, n, k, r), everything the construction derives
@@ -31,10 +31,9 @@ from .bounds import (
 from .construction import CodeParams, CodeSpec, build_code, encode, validate_params
 from .errors import LrcError, Unrecoverable
 from .repair import decode_erasures, repair_group_values, repair_local
-from .verify import run_verification
+from .verify import DEFAULT_BUDGET, run_verification
 
 SPEC_VERSION = 1
-DEFAULT_BUDGET = 5_000_000
 
 
 # -- persistence --------------------------------------------------------
@@ -45,8 +44,9 @@ def _params_doc(params: CodeParams) -> dict:
     return {"m" if name == "m_blocks" else name: v for name, v in asdict(params).items()}
 
 
-def spec_to_dict(spec: CodeSpec) -> dict:
-    """The code file's document; k_prime is left out, as k + t."""
+def _derived_doc(spec: CodeSpec) -> dict:
+    """Every field of the code file but the generator matrix: what a
+    loader compares with the rebuild.  k_prime is left out, as k + t."""
     params = _params_doc(spec.params)
     del params["k_prime"]
     return {
@@ -57,8 +57,12 @@ def spec_to_dict(spec: CodeSpec) -> dict:
         **asdict(spec.good),
         "h_B": spec.h_B,
         "eval_points": spec.eval_points,
-        "generator_matrix": spec.G.tolist(),
     }
+
+
+def spec_to_dict(spec: CodeSpec) -> dict:
+    """The code file's document: the derived fields, then G."""
+    return {**_derived_doc(spec), "generator_matrix": spec.G.tolist()}
 
 
 def write_spec_file(spec: CodeSpec, path: str | Path) -> None:
@@ -108,9 +112,7 @@ def load_spec_file(path: str | Path) -> CodeSpec:
         "generator matrix must be k rows of n field elements",
     )
     spec = build_code(validate_params(q, n, k, r))
-    rebuilt = spec_to_dict(spec)
-    del rebuilt["generator_matrix"]
-    for key, value in rebuilt.items():
+    for key, value in _derived_doc(spec).items():
         _expect(
             json.dumps(doc.get(key), sort_keys=True) == json.dumps(value, sort_keys=True),
             f"{key!r} does not match the code built from (q, n, k, r) = {(q, n, k, r)}",
@@ -139,10 +141,10 @@ def _parse_symbols(tokens: Sequence[str], q: int, allow_erased: bool = False) ->
                 raise LrcError("erasure token '?' not allowed here")
             out.append(None)
             continue
-        try:
-            v = int(tok)
-        except ValueError:
-            raise LrcError(f"symbol {tok!r} is not an integer") from None
+        # int() would also take "1_0", "+1", "-0" and non-ASCII digits
+        if not (tok.isascii() and tok.isdigit()):
+            raise LrcError(f"symbol {tok!r} is not a decimal integer")
+        v = int(tok)
         if not 0 <= v < q:
             raise LrcError(f"symbol {v} outside [0, {q})")
         out.append(v)

@@ -51,10 +51,6 @@ _IRREDUCIBLE = {
     16: 0x1002B,
 }
 
-# Smallest generator of the multiplicative group under each modulus above,
-# where x = 2 is not one (0x11B needs 3); every other degree uses 2.
-_GENERATOR = {8: 3, 9: 7, 12: 3, 14: 7, 16: 3}
-
 
 def _prime_factors(n: int) -> list[int]:
     factors, d = [], 2
@@ -289,23 +285,23 @@ def _times_scalar(a: np.ndarray, b: int, e: int, modulus: int) -> np.ndarray:
 def binary_log_tables(e: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only (log, exp) tables of GF(2^e) under its fixed modulus.
 
-    exp[i] = g^i for the generator g = _GENERATOR.get(e, 2), repeated
+    exp[i] = g^i for g = smallest_primitive(Field(2^e)), repeated
     over [0, 2(q-1)) and zero on [2(q-1), 4(q-1)].  log[0] = 2(q-1), so
     exp[log[a] + log[b]] is the product a*b for every pair, zeros
     included, with no branch.
     For GF(2^16) that is 256 KiB of int32 logs and 512 KiB of uint16.
     """
-    order, modulus = (1 << e) - 1, _IRREDUCIBLE[e]
-    g = _GENERATOR.get(e, 2)
+    F = Field(1 << e)
+    order, g = F.order - 1, smallest_primitive(F)
     exp = np.zeros(4 * order + 1, dtype=np.uint16)
     exp[0] = 1
     size, step = 1, g  # step is always g ** size
     while size < order:
         n = min(size, order - size)
         # int32 leaves room for the shift in the bit-serial product
-        exp[size : size + n] = _times_scalar(exp[:n].astype(np.int32), step, e, modulus)
+        exp[size : size + n] = _times_scalar(exp[:n].astype(np.int32), step, e, F.modulus)
         size += n
-        step = int(_times_scalar(np.array(step), step, e, modulus))
+        step = F.mul(step, step)
     exp[order : 2 * order] = exp[:order]
     log = np.empty(order + 1, dtype=np.int32)
     log[exp[:order]] = np.arange(order, dtype=np.int32)
@@ -324,19 +320,6 @@ def poly_trim(coeffs: Sequence[int]) -> list[int]:
     while out and out[-1] == 0:
         out.pop()
     return out
-
-
-def poly_add(F: Field, a: Sequence[int], b: Sequence[int]) -> list[int]:
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = F.add(out[i], c)
-    return poly_trim(out)
-
-
-def poly_sub(F: Field, a: Sequence[int], b: Sequence[int]) -> list[int]:
-    return poly_add(F, a, [F.neg(c) for c in b])
 
 
 def poly_shift(p: Sequence[int], i: int) -> list[int]:

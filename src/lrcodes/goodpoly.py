@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NoSubgroup, NotConstantOnBlocks, TooManyBlocks
-from .field import Field, poly_eval_vec, poly_from_roots, poly_sub, smallest_primitive
+from .field import Field, poly_eval_vec, poly_from_roots, smallest_primitive
 
 MULTIPLICATIVE = "multiplicative"
 ADDITIVE = "additive"
@@ -128,7 +128,8 @@ def normalize_gamma(F: Field, g: Sequence[int], partition: PartitionSpec) -> Goo
     """Subtract g's value on the last block so that value becomes zero.
 
     Verifies block-constancy by evaluating g at every point first, in
-    one vector Horner pass over the (m, r+1) array of blocks.
+    one vector Horner pass over the (m, r+1) array of blocks.  Only g's
+    constant term changes, and deg g = r+1 >= 2, so none needs trimming.
     """
     values = poly_eval_vec(F, g, np.array(partition.blocks, dtype=np.int64))
     for block, vals in zip(partition.blocks, values):
@@ -137,4 +138,4 @@ def normalize_gamma(F: Field, g: Sequence[int], partition: PartitionSpec) -> Goo
                 f"polynomial takes {len(set(vals.tolist()))} distinct values on block {block}"
             )
     gamma = int(values[-1, 0])  # the last block's value
-    return GoodPolynomial(gamma=gamma, g_tilde=tuple(poly_sub(F, g, [gamma])))
+    return GoodPolynomial(gamma=gamma, g_tilde=(F.sub(g[0], gamma), *g[1:]))

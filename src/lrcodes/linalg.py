@@ -1,10 +1,10 @@
-"""Dense linear algebra over a Field: elimination and rank.
+"""Dense linear algebra over a Field: Gauss-Jordan elimination.
 
 Everything here is exact.  Elimination runs on int64 numpy arrays with
 the field's vector kernels (Field.div_vec, Field.isub_mul): one
 vectorised Gauss-Jordan step per pivot over the columns from the pivot
 on.  row_reduce takes one system of canonical field ints, as row lists
-or a 2-D array, and returns its reduced rows and pivots as lists.
+or a 2-D array, and returns its canonical int64 reduced matrix and pivots.
 solve_stack takes an (m, c, S) array of S systems [A | y] of one shape
 and solves them in lockstep, every system pivoting in the same row and
 column at each step, which is how the erasure oracle decodes a whole
@@ -33,17 +33,14 @@ import numpy as np
 
 from .field import Field
 
-Matrix = list[list[int]]
-
 _REDUCE_EVERY = 1 << 14
 
 
-def row_reduce(F: Field, rows: Sequence[Sequence[int]]) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and the list of pivot column indices.
-
-    rows is a list of row lists or a 2-D array; the result is lists."""
+def row_reduce(F: Field, rows: Sequence[Sequence[int]]) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form of *rows* (row lists or a 2-D array), as
+    a new int64 array of canonical elements, and its pivot columns."""
     if len(rows) == 0:
-        return [], []
+        return np.zeros((0, 0), dtype=np.int64), []
     m = np.array(rows, dtype=np.int64)
     nrows, ncols = m.shape
     pivots: list[int] = []
@@ -74,12 +71,7 @@ def row_reduce(F: Field, rows: Sequence[Sequence[int]]) -> tuple[Matrix, list[in
             break
         if len(pivots) % _REDUCE_EVERY == 0:
             m[:] = F.reduce_vec(m)
-    return F.reduce_vec(m).tolist(), pivots
-
-
-def rank(F: Field, rows: Sequence[Sequence[int]]) -> int:
-    _, pivots = row_reduce(F, rows)
-    return len(pivots)
+    return F.reduce_vec(m), pivots
 
 
 def solve_stack(F: Field, systems: np.ndarray) -> np.ndarray | None:

@@ -123,4 +123,4 @@ def decode_erasures(spec: CodeSpec, received: Sequence[int | None]) -> list[int]
             f"(rank {len(pivots)} < k = {p.k})"
         )
     # the pivots are exactly the k message columns, so row i solves column i
-    return [reduced[i][p.k] for i in range(p.k)]
+    return reduced[: p.k, p.k].tolist()

@@ -44,6 +44,13 @@ from .linalg import solve_stack
 from .repair import locate_group
 
 DEFAULT_CHUNK_CAP = 1 << 20
+DEFAULT_BUDGET = 5_000_000
+
+
+def _check_budget(needed: int, budget: int, what: str) -> None:
+    """Refuse, before any work, a search over more than *budget* items."""
+    if needed > budget:
+        raise BudgetExceeded(f"{what} needs budget >= {needed}, got {budget}")
 
 
 @dataclass(frozen=True)
@@ -150,9 +157,7 @@ def minimum_weight_word(spec: CodeSpec, budget: int) -> tuple[int, list[int]]:
     F = spec.field
     p = spec.params
     q, k, n = p.q, p.k, p.n
-    total = q**k
-    if total > budget:
-        raise BudgetExceeded(f"distance search needs budget >= {total} (q^k), got {budget}")
+    _check_budget(q**k, budget, "distance search over q^k words")
     G = spec.G
     low = min(1, k - 1)
     while low < k - 1 and q ** (low + 1) * n <= DEFAULT_CHUNK_CAP:
@@ -244,7 +249,7 @@ def verify_shortening(spec: CodeSpec) -> bool:
 
 
 def exhaustive_erasure_test(
-    spec: CodeSpec, e: int, budget: int = 10**6, seed: int = 0
+    spec: CodeSpec, e: int, budget: int = DEFAULT_BUDGET, seed: int = 0
 ) -> bool:
     """Whether every e-subset of coordinates can be erased and decoded.
 
@@ -267,8 +272,7 @@ def exhaustive_erasure_test(
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise LrcError(f"seed must be an integer, got {seed!r}")
     patterns = comb(n, e)
-    if patterns > budget:
-        raise BudgetExceeded(f"erasure test needs budget >= {patterns} patterns, got {budget}")
+    _check_budget(patterns, budget, "erasure test over C(n, e) patterns")
     F = spec.field
     G = spec.G
     rng = np.random.default_rng(random.Random(seed).getrandbits(128))
@@ -297,12 +301,8 @@ def run_verification(spec: CodeSpec, budget: int, seed: int = 0) -> Verification
     """
     p = spec.params
     d = predicted_distance(p)
-    if p.q**p.k > budget:
-        raise BudgetExceeded(f"distance search needs budget >= {p.q ** p.k} (q^k), got {budget}")
-    if comb(p.n, d - 1) > budget:
-        raise BudgetExceeded(
-            f"erasure check needs budget >= {comb(p.n, d - 1)} patterns, got {budget}"
-        )
+    _check_budget(p.q**p.k, budget, "distance search over q^k words")
+    _check_budget(comb(p.n, d - 1), budget, "erasure test over C(n, e) patterns")
     distance = brute_force_distance(spec, budget)
     return VerificationReport(
         rank_ok=distance > 0,

@@ -1,6 +1,7 @@
 """Shared fixtures: the acceptance grid and its built codes; the
 codeword polynomial of a message, the tests' reference for G; the
-block scan, the tests' reference for locate_group."""
+block scan, the tests' reference for locate_group; rank by elimination,
+the tests' reference for the rank the library proves without it."""
 
 from typing import Sequence
 
@@ -9,7 +10,8 @@ import pytest
 from lrcodes import build_code, validate_params
 from lrcodes.construction import CodeSpec, _check_message, slot_polynomials
 from lrcodes.errors import LrcError
-from lrcodes.field import Field, poly_add, poly_trim
+from lrcodes.field import Field, poly_trim
+from lrcodes.linalg import row_reduce
 
 GRID_Q = (13, 16, 17)
 GRID_R = (2, 3, 4)
@@ -47,6 +49,19 @@ def grid_specs(grid_params):
 def ref_spec():
     """The worked reference code: (n, k, r) = (10, 5, 3) over GF(13), d = 4."""
     return build_code(validate_params(13, 10, 5, 3))
+
+
+def rank(F: Field, rows: Sequence[Sequence[int]]) -> int:
+    return len(row_reduce(F, rows)[1])
+
+
+def poly_add(F: Field, a: Sequence[int], b: Sequence[int]) -> list[int]:
+    out = [0] * max(len(a), len(b))
+    for i, c in enumerate(a):
+        out[i] = c
+    for i, c in enumerate(b):
+        out[i] = F.add(out[i], c)
+    return poly_trim(out)
 
 
 def poly_scale(F: Field, c: int, p: Sequence[int]) -> list[int]:

@@ -12,11 +12,11 @@ import random
 from itertools import combinations
 from math import ceil
 
+from conftest import rank
 from lrcodes.bounds import optimality_report, predicted_distance, singleton_like_bound
 from lrcodes.cli import main
 from lrcodes.construction import build_code, encode, validate_params
 from lrcodes.errors import Unrecoverable
-from lrcodes.linalg import rank
 from lrcodes.repair import decode_erasures, locate_group, repair_local
 from lrcodes.verify import (
     brute_force_distance,

@@ -1,6 +1,7 @@
 """Command-line behavior, the JSON format, and its loader's validation."""
 
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -14,10 +15,11 @@ import numpy as np
 import pytest
 
 from conftest import assemble_polynomial
-from lrcodes.cli import load_spec_file, main, spec_to_dict, write_spec_file
+from lrcodes.cli import _derived_doc, build_parser, load_spec_file, main, spec_to_dict, write_spec_file
 from lrcodes.construction import build_code, validate_params
 from lrcodes.errors import LrcError
 from lrcodes.field import poly_eval, poly_from_roots
+from lrcodes.verify import DEFAULT_BUDGET, exhaustive_erasure_test
 
 
 @pytest.fixture
@@ -226,6 +228,20 @@ def test_encode_rejects_bad_symbols(capsys, code_file):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "token",
+    ["1_0", "\u0661", "+1", "-0", "-1", " 1", "1.0"],
+    ids=["underscore", "arabic-indic", "plus", "minus-zero", "negative", "space", "point"],
+)
+@pytest.mark.parametrize("command", ["encode", "decode"])
+def test_symbols_are_ascii_decimal_digits(capsys, code_file, command, token):
+    # int() takes underscores, signs, spaces and non-ASCII digits ("\u0661" is an Arabic-Indic 1)
+    symbols = ["0"] * (5 if command == "encode" else 10)
+    symbols[-1] = token
+    assert main([command, "--spec", str(code_file), *symbols]) == 2
+    assert f"symbol {token!r} is not a decimal integer" in capsys.readouterr().err
+
+
 def test_encode_from_file(capsys, code_file, tmp_path):
     msg = tmp_path / "msg.txt"
     msg.write_text("0 0 0 0 1\n")
@@ -291,6 +307,12 @@ def test_verify_detects_tampering(capsys, tmp_path, code_file):
 def test_verify_budget_exit(capsys, code_file):
     assert main(["verify", "--spec", str(code_file), "--budget", "1000"]) == 2
     capsys.readouterr()
+
+
+def test_one_default_budget():
+    assert build_parser().parse_args(["verify", "--spec", "code.json"]).budget == DEFAULT_BUDGET
+    assert inspect.signature(exhaustive_erasure_test).parameters["budget"].default == DEFAULT_BUDGET
+    assert DEFAULT_BUDGET == 5_000_000
 
 
 def test_bounds_command(capsys):
@@ -387,3 +409,10 @@ def test_spec_to_dict_and_write_are_stable(tmp_path):
     write_spec_file(spec, p1)
     write_spec_file(spec, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_spec_to_dict_is_the_derived_fields_then_g():
+    spec = build_code(validate_params(16, 14, 5, 3))
+    doc = spec_to_dict(spec)
+    assert list(doc) == [*_derived_doc(spec), "generator_matrix"]
+    assert doc == {**_derived_doc(spec), "generator_matrix": spec.G.tolist()}

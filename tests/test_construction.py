@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 
 from lrcodes import construction
-from conftest import assemble_polynomial
+from conftest import assemble_polynomial, rank
 from lrcodes.construction import (
     MessageLayout,
     build_code,
@@ -28,7 +28,6 @@ from lrcodes.errors import (
     SEqualsOne,
 )
 from lrcodes.field import lagrange_weights, poly_eval
-from lrcodes.linalg import rank
 
 
 def test_validate_params_reference():

@@ -10,7 +10,6 @@ from lrcodes.field import (
     _IRREDUCIBLE,
     Field,
     lagrange_weights,
-    poly_add,
     poly_eval,
     poly_from_roots,
     poly_mul,
@@ -181,7 +180,6 @@ def test_binary_scalar_ops_match_reference(e):
 def test_poly_helpers():
     F = Field(13)
     assert poly_trim([1, 2, 0, 0]) == [1, 2]
-    assert poly_add(F, [1, 2], [12, 11]) == []
     assert poly_mul(F, [], [1, 2]) == []
     # (x + 1)(x + 2) = x^2 + 3x + 2
     assert poly_mul(F, [1, 1], [2, 1]) == [2, 3, 1]

@@ -2,6 +2,8 @@
 
 import pytest
 
+from conftest import poly_add
+from lrcodes.construction import build_code, validate_params
 from lrcodes.errors import NoSubgroup, NotConstantOnBlocks, TooManyBlocks
 from lrcodes.field import Field, poly_eval
 from lrcodes.goodpoly import (
@@ -139,6 +141,18 @@ def test_normalize_gamma_fixed_point():
     good = normalize_gamma(F, good_polynomial(F, H), partition)
     assert good.gamma == 0
     assert good.g_tilde == tuple(good_polynomial(F, H))
+
+
+def test_normalize_gamma_subtracts_gamma_from_g(grid_specs):
+    # g~ = g - gamma by the general polynomial sum, on every grid code and
+    # on the long codes of the benchmark
+    specs = [spec for _, spec in grid_specs]
+    specs += [build_code(validate_params(*c)) for c in ((65536, 62, 40, 7), (65521, 118, 80, 4))]
+    for spec in specs:
+        F, good = spec.field, spec.good
+        g = good_polynomial(F, spec.subgroup)
+        assert list(good.g_tilde) == poly_add(F, g, [F.neg(good.gamma)])
+        assert all(type(c) is int for c in good.g_tilde)
 
 
 def test_normalize_gamma_detects_non_coset_block():

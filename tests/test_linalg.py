@@ -6,16 +6,32 @@ from itertools import product
 import numpy as np
 import pytest
 
+from conftest import rank
 from lrcodes.field import Field
-from lrcodes.linalg import rank, row_reduce
+from lrcodes.linalg import row_reduce
 
 
 def test_row_reduce_identity():
     F = Field(13)
     eye = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     reduced, pivots = row_reduce(F, eye)
-    assert reduced == eye
+    assert reduced.tolist() == eye
     assert pivots == [0, 1, 2]
+
+
+@pytest.mark.parametrize("q", [16, 65521])
+def test_row_reduce_returns_a_canonical_int64_array(q):
+    F = Field(q)
+    rng = random.Random(q)
+    rows = [[rng.randrange(q) for _ in range(9)] for _ in range(6)]
+    rows.append([q - 1] * 9)
+    reduced, pivots = row_reduce(F, rows)
+    assert isinstance(reduced, np.ndarray) and reduced.dtype == np.int64
+    assert reduced.shape == (7, 9)
+    assert ((reduced >= 0) & (reduced < q)).all()
+    assert pivots == list(range(7))
+    empty, no_pivots = row_reduce(F, [])
+    assert empty.dtype == np.int64 and empty.shape == (0, 0) and no_pivots == []
 
 
 def test_rank_examples():

@@ -6,8 +6,8 @@ from math import ceil, comb
 
 from hypothesis import given, settings, strategies as st
 
+from conftest import rank
 from lrcodes import build_code, validate_params
-from lrcodes.linalg import rank
 from lrcodes.verify import run_verification
 
 MAX_N = 24

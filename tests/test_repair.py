@@ -197,6 +197,14 @@ def test_decode_small_patterns(ref_spec):
             assert decode_erasures(ref_spec, received) == msg
 
 
+def test_decode_returns_python_ints(ref_spec):
+    for spec in (ref_spec, build_code(validate_params(16, 14, 5, 3))):
+        received = encode([1, 2, 3, 4, 5], spec)
+        received[0] = received[3] = None
+        got = decode_erasures(spec, received)
+        assert got == [1, 2, 3, 4, 5] and all(type(x) is int for x in got)
+
+
 def test_decode_unrecoverable_on_min_weight_support(ref_spec):
     # erasing the support of a minimum-weight codeword wipes all the
     # information that distinguishes it from zero

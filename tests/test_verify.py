@@ -10,13 +10,12 @@ from math import comb
 import numpy as np
 import pytest
 
-from conftest import assemble_polynomial
+from conftest import assemble_polynomial, rank
 from lrcodes import verify
 from lrcodes.bounds import predicted_distance
 from lrcodes.construction import build_code, encode, validate_params
 from lrcodes.errors import BudgetExceeded, LrcError, Unrecoverable
 from lrcodes.field import lagrange_weights, poly_eval, poly_mul
-from lrcodes.linalg import rank
 from lrcodes.repair import decode_erasures, locate_group, repair_coordinate
 from lrcodes.verify import (
     brute_force_distance,
