@@ -63,7 +63,6 @@ from .repair import (
 from .verify import (
     VerificationReport,
     brute_force_distance,
-    exhaustive_erasure_test,
     minimum_weight_word,
     run_verification,
     verify_locality,
@@ -106,7 +105,6 @@ __all__ = [
     "coset_partition",
     "decode_erasures",
     "encode",
-    "exhaustive_erasure_test",
     "find_subgroup",
     "good_polynomial",
     "improved_bound",

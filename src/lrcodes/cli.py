@@ -80,10 +80,6 @@ def _is_int(x: object) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _field_ints(xs: object, q: int) -> bool:
-    return isinstance(xs, list) and all(_is_int(x) and 0 <= x < q for x in xs)
-
-
 def load_spec_file(path: str | Path) -> CodeSpec:
     """Load a code file by rebuilding its code from (q, n, k, r).
 
@@ -108,7 +104,13 @@ def load_spec_file(path: str | Path) -> CodeSpec:
     _expect(
         isinstance(G, list)
         and len(G) == k
-        and all(_field_ints(row, q) and len(row) == n for row in G),
+        # exactly {int}: JSON true loads as bool, a subclass of int
+        and all(
+            isinstance(row, list) and len(row) == n and set(map(type, row)) == {int}
+            for row in G
+        )
+        and min(map(min, G), default=0) >= 0
+        and max(map(max, G), default=0) < q,
         "generator matrix must be k rows of n field elements",
     )
     spec = build_code(validate_params(q, n, k, r))
@@ -203,7 +205,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     spec = load_spec_file(args.spec)
-    report = run_verification(spec, budget=args.budget, seed=args.seed)
+    report = run_verification(spec, budget=args.budget)
     print(json.dumps({**asdict(report), "all_ok": report.all_ok}, indent=2))
     return 0 if report.all_ok else 3
 
@@ -271,8 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run every brute-force oracle on a code file")
     p.add_argument("--spec", required=True, help="code file from construct")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                   help="max enumerated words / patterns (default %(default)s)")
-    p.add_argument("--seed", type=int, default=0, help="seed for the erasure check's random messages")
+                   help="max enumerated words (default %(default)s)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bounds", help="distance bounds for (n, k, r), no field needed")

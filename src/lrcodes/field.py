@@ -5,13 +5,13 @@ residue mod p for prime fields, the coefficient bit pattern for binary
 extension fields.  Polynomials are lists of such ints, lowest degree
 first, with no trailing zeros; the zero polynomial is the empty list.
 
-Vector arithmetic lives here too: reduce_vec, add_vec, mul_vec, div_vec,
-isub_mul and matmul act on integer numpy arrays, and poly_eval_vec
-evaluates a polynomial at an array of points.  Prime fields compute
-in int64 and reduce mod p (every product of two residues below 2^16
-fits).  GF(2^e) gathers from log/antilog tables, built vectorised on the
-first vector op and cached per degree; the scalar methods never touch
-them.
+Vector arithmetic lives here too: reduce_vec, add_vec, mul_vec, div_vec
+(by one element, an elimination step's pivot), isub_mul and matmul act
+on integer numpy arrays, and poly_eval_vec evaluates a polynomial at an
+array of points.  Prime fields compute in int64 and reduce mod p (every
+product of two residues below 2^16 fits).  GF(2^e) gathers from
+log/antilog tables, built vectorised on the first vector op and cached
+per degree; the scalar methods never touch them.
 """
 
 from __future__ import annotations
@@ -196,38 +196,19 @@ class Field:
         log, exp = binary_log_tables(self.extension_degree)
         return exp[log[a] + log[b]]
 
-    def div_vec(self, a: np.ndarray, b) -> np.ndarray:
-        """Elementwise quotient of the int64 array *a* by *b*, a scalar or
-        an array that broadcasts against *a* as in mul_vec.
+    def div_vec(self, a: np.ndarray, b: int) -> np.ndarray:
+        """Elementwise quotient of the int64 array *a* by the element *b*.
 
-        Any zero divisor raises DivisionByZero.  GF(p) takes *a* unreduced
-        too, as long as |a| * p < 2^63, and inverts an array divisor by
-        vectorised Fermat exponentiation (every product stays below
-        p^2 < 2^32).  GF(2^e) divides by log subtraction, skipping the
-        scalar inverse's exponentiation.
+        A zero *b* raises DivisionByZero.  GF(p) takes *a* unreduced too,
+        as long as |a| * p < 2^63.  GF(2^e) divides by log subtraction,
+        skipping the scalar inverse's exponentiation.
         """
-        if isinstance(b, int):
-            if self.extension_degree == 1:
-                return a * self.inv(b) % self.characteristic
-            if b == 0:
-                raise DivisionByZero(f"division by zero in GF({self.order})")
-            log, exp = binary_log_tables(self.extension_degree)
-            return exp[log[a] + (self.order - 1 - int(log[b]))]
-        b = np.asarray(b, dtype=np.int64)
-        if not b.all():
-            raise DivisionByZero(f"division by zero in GF({self.order})")
         if self.extension_degree == 1:
-            p = self.characteristic
-            # b^(p-2) by square-and-multiply, one array step per bit
-            inv, base, n = np.ones_like(b), b, p - 2
-            while n:
-                if n & 1:
-                    inv = inv * base % p
-                base = base * base % p
-                n >>= 1
-            return a * inv % p
+            return a * self.inv(b) % self.characteristic
+        if b == 0:
+            raise DivisionByZero(f"division by zero in GF({self.order})")
         log, exp = binary_log_tables(self.extension_degree)
-        return exp[log[a] + (self.order - 1 - log[b])]
+        return exp[log[a] + (self.order - 1 - int(log[b]))]
 
     def isub_mul(self, a: np.ndarray, b, c) -> None:
         """a -= b*c in place, for canonical b and c: the row operation of

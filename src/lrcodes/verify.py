@@ -3,54 +3,40 @@
 Nothing here trusts the construction: the stored generator matrix is
 compared with the construction's polynomials evaluated directly,
 distance from enumerating the whole message space up to scalar
-multiples (one message per class of nonzero multiples), dimension from
-the same walk (G has rank k exactly when no nonzero message encodes to
-the zero word), locality from checking that each repair group's columns
-of the generator matrix obey the Lagrange weights that repair uses,
-shortening from the k unit messages' polynomials (degree at most the
-parent's cap, zeros on the dropped points), erasure tolerance from
-exhaustive pattern decoding.  Only the erasure oracle samples (one
-random message per pattern, drawn a chunk at a time by a numpy generator
-seeded from its seed); the others are exact.  Enumeration is
-budget-gated; a report is either complete or the run aborts with
-BudgetExceeded.
+multiples (one message per class of nonzero multiples), dimension and
+erasure tolerance from the same walk (G has rank k exactly when no
+nonzero message encodes to the zero word, and every d - 1 erasures
+decode exactly when no nonzero codeword has weight below d), locality
+from checking that each repair group's columns of the generator matrix
+obey the Lagrange weights that repair uses, shortening from the k unit
+messages' polynomials (degree at most the parent's cap, zeros on the
+dropped points).  Every oracle is exact.  Enumeration is budget-gated;
+a report is either complete or the run aborts with BudgetExceeded.
 
 Codeword batches are computed with the field's numpy kernels
 (Field.mul_vec, Field.matmul, Field.add_vec): prime fields reduce int64
 products mod p, binary fields gather from log/antilog tables of O(q)
 size, so no object here grows with q^2.  The distance search keeps its
 table of low-message words as uint16 and compares candidates with it
-rather than adding to it; the erasure oracle decodes its patterns in
-stacked chunks, one linalg.solve_stack per chunk, which gives up on
-the chunk at the first step where one of its patterns fails.  Both are
-capped at DEFAULT_CHUNK_CAP symbols.
+rather than adding to it, capped at DEFAULT_CHUNK_CAP symbols.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from itertools import chain, combinations, product
-from math import comb
+from itertools import product
 from typing import Sequence
 
 import numpy as np
 
 from .bounds import predicted_distance
 from .construction import CodeSpec, degree_cap, slot_polynomials
-from .errors import BudgetExceeded, LrcError
+from .errors import BudgetExceeded
 from .field import Field, lagrange_weights
-from .linalg import solve_stack
 from .repair import locate_group
 
 DEFAULT_CHUNK_CAP = 1 << 20
 DEFAULT_BUDGET = 5_000_000
-
-
-def _check_budget(needed: int, budget: int, what: str) -> None:
-    """Refuse, before any work, a search over more than *budget* items."""
-    if needed > budget:
-        raise BudgetExceeded(f"{what} needs budget >= {needed}, got {budget}")
 
 
 @dataclass(frozen=True)
@@ -157,7 +143,10 @@ def minimum_weight_word(spec: CodeSpec, budget: int) -> tuple[int, list[int]]:
     F = spec.field
     p = spec.params
     q, k, n = p.q, p.k, p.n
-    _check_budget(q**k, budget, "distance search over q^k words")
+    if q**k > budget:
+        raise BudgetExceeded(
+            f"distance search over q^k words needs budget >= {q**k}, got {budget}"
+        )
     G = spec.G
     low = min(1, k - 1)
     while low < k - 1 and q ** (low + 1) * n <= DEFAULT_CHUNK_CAP:
@@ -245,64 +234,23 @@ def verify_shortening(spec: CodeSpec) -> bool:
     return not np.count_nonzero(_unit_words(spec.field, slots, spec.partition.B))
 
 
-# -- erasure decoding ---------------------------------------------------
+def run_verification(spec: CodeSpec, budget: int) -> VerificationReport:
+    """All oracles against one spec.  The distance walk runs first and
+    refuses a budget shortfall before any work, so a returned report
+    always covers everything.
 
-
-def exhaustive_erasure_test(
-    spec: CodeSpec, e: int, budget: int = DEFAULT_BUDGET, seed: int = 0
-) -> bool:
-    """Whether every e-subset of coordinates can be erased and decoded.
-
-    Each pattern is tried on a fresh random codeword.  The patterns are
-    taken as their n - e known coordinates, in combinations order, in
-    chunks of at most DEFAULT_CHUNK_CAP symbols of stacked systems
-    [G[:, known]^T | y], solved in lockstep by one solve_stack per
-    chunk; each chunk's messages are one draw of a numpy generator
-    seeded from random.Random(seed), so any int seeds it.  A pattern
-    passes only when its system has exactly one solution and that is
-    the message sent.  Anything else (rank below k, an inconsistent
-    word, a wrong solution: what decode_erasures reports as
-    Unrecoverable or a wrong round trip) makes the answer False, and
-    the first chunk holding such a pattern ends the test.
-    """
-    p = spec.params
-    n, k = p.n, p.k
-    if not isinstance(e, int) or isinstance(e, bool) or not 0 <= e <= n:
-        raise LrcError(f"erasure count must be an integer in [0, {n}], got {e!r}")
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise LrcError(f"seed must be an integer, got {seed!r}")
-    patterns = comb(n, e)
-    _check_budget(patterns, budget, "erasure test over C(n, e) patterns")
-    F = spec.field
-    G = spec.G
-    rng = np.random.default_rng(random.Random(seed).getrandbits(128))
-    known_sets = chain.from_iterable(combinations(range(n), n - e))
-    size = max(1, DEFAULT_CHUNK_CAP // ((n - e) * (k + 1) or 1))
-    for start in range(0, patterns, size):
-        s = min(size, patterns - start)
-        known = np.fromiter(known_sets, dtype=np.intp, count=s * (n - e)).reshape(s, n - e).T
-        msgs = rng.integers(p.q, size=(s, k))
-        systems = np.empty((n - e, k + 1, s), dtype=np.int64)
-        systems[:, :k] = G[:, known].transpose(1, 0, 2)
-        systems[:, k] = np.take_along_axis(F.matmul(msgs, G).T, known, axis=0)
-        solutions = solve_stack(F, systems)
-        if solutions is None or not np.array_equal(solutions, msgs.T):
-            return False
-    return True
-
-
-def run_verification(spec: CodeSpec, budget: int, seed: int = 0) -> VerificationReport:
-    """All oracles against one spec.  Budget shortfalls raise before any
-    check runs, so a returned report always covers everything.
-
-    rank_ok is read off the distance walk: it decides the weight of
-    every one of the q^k messages' words, and one of them is zero for a
-    nonzero message exactly when G has rank below k.
+    rank_ok and erasure_ok are read off the distance walk, which decides
+    the weight of every one of the q^k messages' words:
+    - one of them is zero for a nonzero message exactly when G has rank
+      below k;
+    - a set E of erased coordinates fails to decode exactly when two
+      messages agree outside E, that is when some nonzero codeword is
+      zero outside E and so has weight <= |E|.  Every d - 1 erasures
+      therefore decode exactly when the distance is >= d.  A G of rank
+      below k has distance_found 0, so erasure_ok is False with rank_ok.
     """
     p = spec.params
     d = predicted_distance(p)
-    _check_budget(p.q**p.k, budget, "distance search over q^k words")
-    _check_budget(comb(p.n, d - 1), budget, "erasure test over C(n, e) patterns")
     distance = brute_force_distance(spec, budget)
     return VerificationReport(
         rank_ok=distance > 0,
@@ -311,6 +259,6 @@ def run_verification(spec: CodeSpec, budget: int, seed: int = 0) -> Verification
         distance_expected=d,
         locality_ok=verify_locality(spec),
         shortening_ok=verify_shortening(spec),
-        erasure_ok=exhaustive_erasure_test(spec, d - 1, budget, seed),
+        erasure_ok=distance >= d,
         enumerated_words=p.q**p.k - 1,
     )

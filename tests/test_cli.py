@@ -1,7 +1,6 @@
 """Command-line behavior, the JSON format, and its loader's validation."""
 
 import hashlib
-import inspect
 import json
 import os
 import subprocess
@@ -19,7 +18,7 @@ from lrcodes.cli import _derived_doc, build_parser, load_spec_file, main, spec_t
 from lrcodes.construction import build_code, validate_params
 from lrcodes.errors import LrcError
 from lrcodes.field import poly_eval, poly_from_roots
-from lrcodes.verify import DEFAULT_BUDGET, exhaustive_erasure_test
+from lrcodes.verify import DEFAULT_BUDGET
 
 
 @pytest.fixture
@@ -203,6 +202,21 @@ def test_load_rejects_json_booleans(tmp_path, code_file, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "bad_row",
+    [lambda row, x=x: row[:2] + [x] + row[3:] for x in (-1, 13, 2**70, 1.0, "1", [1], None, True)]
+    + [lambda row: row[:-1], lambda row: "0" * len(row)],
+    ids=["-1", "q", "2**70", "1.0", "'1'", "[1]", "null", "true", "short row", "non-list row"],
+)
+def test_load_refuses_a_bad_generator_row(capsys, tmp_path, code_file, bad_row):
+    doc = json.loads(code_file.read_text())
+    doc["generator_matrix"][1] = bad_row(doc["generator_matrix"][1])
+    path = tmp_path / "bad_g.json"
+    path.write_text(json.dumps(doc))
+    assert main(["encode", "--spec", str(path), "0", "0", "0", "0", "1"]) == 2
+    assert "generator matrix must be k rows of n field elements" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("module", ["lrcodes", "lrcodes.cli"])
 def test_python_dash_m_runs_the_cli(module):
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -311,7 +325,6 @@ def test_verify_budget_exit(capsys, code_file):
 
 def test_one_default_budget():
     assert build_parser().parse_args(["verify", "--spec", "code.json"]).budget == DEFAULT_BUDGET
-    assert inspect.signature(exhaustive_erasure_test).parameters["budget"].default == DEFAULT_BUDGET
     assert DEFAULT_BUDGET == 5_000_000
 
 
@@ -342,9 +355,12 @@ def test_bounds_refuses_invalid_input(capsys, n, k, r, message):
     assert captured.err.startswith("error: ") and message in captured.err
 
 
-def test_verify_accepts_a_negative_seed(capsys, code_file):
-    assert main(["verify", "--spec", str(code_file), "--seed", "-1"]) == 0
-    assert json.loads(capsys.readouterr().out)["all_ok"] is True
+def test_verify_has_no_seed(capsys, code_file):
+    # every oracle is exact, so there is nothing to seed
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--spec", str(code_file), "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
 def test_params_refuses_a_huge_field_order_at_once(capsys):

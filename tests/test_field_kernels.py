@@ -10,7 +10,7 @@ import pytest
 from lrcodes.errors import DivisionByZero
 from lrcodes.field import _IRREDUCIBLE, Field, binary_log_tables, smallest_primitive
 from lrcodes import linalg
-from lrcodes.linalg import row_reduce, solve_stack
+from lrcodes.linalg import row_reduce
 from test_field import gf2_mul, gf2_pow, reference_mul
 
 ORDERS = [1 << e for e in range(2, 17)] + [2, 3, 13, 257, 65521]
@@ -111,13 +111,6 @@ def test_mul_div_add_vec_match_scalar(q):
     assert F.reduce_vec(acc).tolist() == [F.sub(int(x), F.mul(int(y), c)) for x, y in zip(a, b)]
     with pytest.raises(DivisionByZero):
         F.div_vec(a, 0)
-    # an array divisor, broadcast over rows as elimination uses it
-    rows, divisors = a[:300].reshape(60, 5), np.where(b[:60] == 0, 1, b[:60])
-    assert F.div_vec(rows, divisors[:, None]).tolist() == [
-        [F.div(int(x), int(y)) for x in row] for row, y in zip(rows, divisors)
-    ]
-    with pytest.raises(DivisionByZero):
-        F.div_vec(rows, b[:60, None])
 
 
 @pytest.mark.parametrize("q", [3, 65521, 256])
@@ -199,11 +192,6 @@ def test_row_reduce_matches_scalar_gauss_jordan(q):
         assert (reduced.tolist(), pivots) == _scalar_gauss_jordan(F, rows)
 
 
-def _stacked(systems):
-    """Systems given as row lists, in solve_stack's (m, c, S) layout."""
-    return np.ascontiguousarray(np.array(systems, dtype=np.int64).transpose(1, 2, 0))
-
-
 def _uniquely_solvable(F, rng, nrows, k):
     """Rows [A | y] with A of rank k, and y = A x for a random x."""
     q = F.order
@@ -224,39 +212,36 @@ def _uniquely_solvable(F, rng, nrows, k):
 
 @pytest.mark.parametrize("q", ORDERS)
 def test_row_reduce_stack_of_full_rank_systems(q):
-    # solve_stack eliminates in lockstep: every system pivots in row j at
-    # column j, so its solution is the reference's last column
+    # decode_erasures reads the solution off column k once the pivots are
+    # exactly the k unknowns
     F = Field(q)
     rng = random.Random(q + 2)
     for nrows, k in [(5, 4), (6, 6), (7, 3), (1, 1)]:
-        stack, xs = zip(*(_uniquely_solvable(F, rng, nrows, k) for _ in range(8)))
-        solutions = solve_stack(F, _stacked(stack))
-        assert solutions.shape == (k, len(stack))
-        for rows, x, got in zip(stack, xs, solutions.T):
-            reduced, pivots = _scalar_gauss_jordan(F, rows)
+        for _ in range(8):
+            rows, x = _uniquely_solvable(F, rng, nrows, k)
+            reduced, pivots = row_reduce(F, rows)
             assert pivots == list(range(k))
-            assert got.tolist() == [row[k] for row in reduced[:k]] == x
+            assert reduced[:k, k].tolist() == x
 
 
 @pytest.mark.parametrize("q", ORDERS)
 def test_solve_stack_refuses_systems_without_one_solution(q):
+    # named for the lockstep solver these systems once tested; row_reduce's
+    # pivots show each of decode_erasures' two refusals
     F = Field(q)
     rng = random.Random(q + 3)
     nrows, k = 6, 4
-    good = [_uniquely_solvable(F, rng, nrows, k)[0] for _ in range(5)]
     deficient = [row + [0] for row in _low_rank(F, rng, nrows, k, k - 1)]
     # a zero row of A with a nonzero y: a pivot in y
     inconsistent = _uniquely_solvable(F, rng, nrows - 1, k)[0]
     inconsistent.insert(rng.randrange(nrows), [0] * k + [1 + rng.randrange(q - 1)])
-    for bad in (deficient, inconsistent):
-        assert _scalar_gauss_jordan(F, bad)[1] != list(range(k))
-        for at in (0, 2, 5):
-            stack = good[:at] + [bad] + good[at:]
-            assert solve_stack(F, _stacked(stack)) is None
-    assert solve_stack(F, _stacked(good)) is not None
-    # fewer than k rows
-    short = [_uniquely_solvable(F, rng, k, k)[0][1:] for _ in range(3)]
-    assert solve_stack(F, _stacked(short)) is None
+    short = _uniquely_solvable(F, rng, k, k)[0][1:]
+    for bad in (deficient, inconsistent, short):
+        assert row_reduce(F, bad)[1] == _scalar_gauss_jordan(F, bad)[1]
+    # a pivot in y, or fewer than k pivots
+    assert k in row_reduce(F, inconsistent)[1]
+    assert len(row_reduce(F, deficient)[1]) < k
+    assert len(row_reduce(F, short)[1]) < k
 
 
 def test_row_reduce_with_frequent_whole_matrix_reduction(monkeypatch):
@@ -269,7 +254,3 @@ def test_row_reduce_with_frequent_whole_matrix_reduction(monkeypatch):
         rows.append([F.add(x, y) for x, y in zip(rows[0], rows[1])])  # rank-deficient
         reduced, pivots = row_reduce(F, rows)
         assert (reduced.tolist(), pivots) == _scalar_gauss_jordan(F, rows)
-    # and solve_stack every _REDUCE_EVERY columns
-    F = Field(65521)
-    stack, xs = zip(*(_uniquely_solvable(F, rng, 9, 7) for _ in range(4)))
-    assert solve_stack(F, _stacked(stack)).T.tolist() == list(xs)

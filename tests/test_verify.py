@@ -14,12 +14,11 @@ from conftest import assemble_polynomial, rank
 from lrcodes import verify
 from lrcodes.bounds import predicted_distance
 from lrcodes.construction import build_code, encode, validate_params
-from lrcodes.errors import BudgetExceeded, LrcError, Unrecoverable
+from lrcodes.errors import BudgetExceeded, Unrecoverable
 from lrcodes.field import lagrange_weights, poly_eval, poly_mul
 from lrcodes.repair import decode_erasures, locate_group, repair_coordinate
 from lrcodes.verify import (
     brute_force_distance,
-    exhaustive_erasure_test,
     generator_matches,
     minimum_weight_word,
     run_verification,
@@ -315,38 +314,11 @@ def test_verify_shortening_matches_rank_reference(grid_specs, ref_spec):
         assert not verify_shortening(bad)
 
 
-def test_exhaustive_erasure(ref_spec):
-    assert exhaustive_erasure_test(ref_spec, 0)
-    assert exhaustive_erasure_test(ref_spec, 3)
-    assert not exhaustive_erasure_test(ref_spec, 4)
-    with pytest.raises(BudgetExceeded):
-        exhaustive_erasure_test(ref_spec, 3, budget=10)
-
-
-def test_exhaustive_erasure_refuses_bad_pattern_sizes(ref_spec):
-    # 11 > n used to pass with no pattern tried, -1 reached math.comb and
-    # True ran as one erasure
-    for e in (11, -1, True):
-        with pytest.raises(LrcError):
-            exhaustive_erasure_test(ref_spec, e)
-
-
-@pytest.mark.parametrize("seed", [0, 1, -1, 2**70])
-def test_exhaustive_erasure_takes_any_int_seed(ref_spec, seed):
-    assert exhaustive_erasure_test(ref_spec, 3, seed=seed)
-    assert not exhaustive_erasure_test(ref_spec, 4, seed=seed)
-
-
-def test_exhaustive_erasure_refuses_a_bool_seed(ref_spec):
-    with pytest.raises(LrcError, match="seed"):
-        exhaustive_erasure_test(ref_spec, 3, seed=True)
-
-
-def _erasure_reference(spec, e, seed=0):
+def _erasure_reference(spec, e):
     # the per-pattern oracle: one decode_erasures call per e-subset, on
-    # messages from its own random.Random(seed); only verdicts are compared
+    # messages from its own random.Random; only verdicts are compared
     p = spec.params
-    rng = random.Random(seed)
+    rng = random.Random(0)
     for subset in combinations(range(1, p.n + 1), e):
         msg = [rng.randrange(p.q) for _ in range(p.k)]
         received = [None if j in subset else v for j, v in enumerate(encode(msg, spec), 1)]
@@ -358,43 +330,55 @@ def _erasure_reference(spec, e, seed=0):
     return True
 
 
-def test_exhaustive_erasure_matches_per_pattern_reference(grid_specs, ref_spec, monkeypatch):
+def _tampered_generators(spec):
+    G = spec.G
+    zeroed = G.copy()
+    zeroed[:, 0] = 0
+    duplicated = G.copy()
+    duplicated[-1] = G[0]
+    # column 1 becomes column 0, so a word zero on one is zero on both
+    overwritten = G.copy()
+    overwritten[:, 1] = G[:, 0]
+    return [replace(spec, G=tampered) for tampered in (zeroed, duplicated, overwritten)]
+
+
+def test_exhaustive_erasure(ref_spec):
+    # e erasures all decode exactly when the minimum weight exceeds e
+    weight, _ = minimum_weight_word(ref_spec, 5_000_000)
+    for e in (0, 3, 4):
+        assert (weight > e) == _erasure_reference(ref_spec, e) == (e < 4)
+
+
+def test_exhaustive_erasure_matches_per_pattern_reference(grid_specs, ref_spec):
     small = [spec for p, spec in grid_specs if comb(p.n, predicted_distance(p)) <= 1500]
     specs = [ref_spec] + random.Random(19).sample(small, 6)
     specs += [build_code(validate_params(*c)) for c in ((256, 14, 2, 4), (1024, 8, 2, 2))]
-    for spec in specs:
+    for spec in specs + [bad for spec in specs for bad in _tampered_generators(spec)]:
         d = predicted_distance(spec.params)
-        assert _erasure_reference(spec, d - 1)
-        assert exhaustive_erasure_test(spec, d - 1)
-        assert not _erasure_reference(spec, d)
-        assert not exhaustive_erasure_test(spec, d)
+        assert run_verification(spec, 5_000_000).erasure_ok == _erasure_reference(spec, d - 1)
+        assert (minimum_weight_word(spec, 5_000_000)[0] > d) == _erasure_reference(spec, d)
     # a zeroed column still round-trips every pattern that erases it, but
     # some 3-pattern then leaves rank 4 < k
-    G = ref_spec.G.copy()
-    G[:, 0] = 0
-    zeroed = replace(ref_spec, G=G)
-    assert not _erasure_reference(zeroed, 3)
-    assert not exhaustive_erasure_test(zeroed, 3)
-    # chunks of two patterns: the verdict does not depend on the chunking
-    monkeypatch.setattr(verify, "DEFAULT_CHUNK_CAP", 2 * 7 * 6)
-    assert exhaustive_erasure_test(ref_spec, 3)
-    assert not exhaustive_erasure_test(ref_spec, 4)
-    assert not exhaustive_erasure_test(zeroed, 3)
-
-
-# every grid code has at most 8,008 patterns at d - 1 and 5,005 at d; the
-# cap bounds the test's time if the grid grows
-GRID_PATTERN_CAP = 10_000
+    zeroed = _tampered_generators(ref_spec)[0]
+    assert not run_verification(zeroed, 5_000_000).erasure_ok
 
 
 def test_erasure_oracle_passes_on_grid_codes(grid_specs):
+    # the walk's verdict on every grid code, checked with the decoder from
+    # both sides: d - 1 random erasures decode, and erasing the support of
+    # a minimum-weight word leaves two messages that agree elsewhere
+    rng = random.Random(23)
     for p, spec in grid_specs:
         d = predicted_distance(p)
-        if comb(p.n, d - 1) <= GRID_PATTERN_CAP:
-            assert exhaustive_erasure_test(spec, d - 1, budget=GRID_PATTERN_CAP)
-        # erasing the support of a minimum-weight word always fails
-        if comb(p.n, d) <= GRID_PATTERN_CAP:
-            assert not exhaustive_erasure_test(spec, d, budget=GRID_PATTERN_CAP)
+        weight, witness = minimum_weight_word(spec, 5_000_000)
+        assert weight >= d
+        msg = [rng.randrange(p.q) for _ in range(p.k)]
+        erased = set(rng.sample(range(p.n), d - 1))
+        received = [None if j in erased else v for j, v in enumerate(encode(msg, spec))]
+        assert decode_erasures(spec, received) == msg
+        cw = encode(witness, spec)
+        with pytest.raises(Unrecoverable):
+            decode_erasures(spec, [None if v else 0 for v in cw])
 
 
 def test_run_verification_report(ref_spec):
