@@ -210,21 +210,22 @@ def _generator_matrix(
     eval_points: Sequence[int],
 ) -> np.ndarray:
     """One row per message slot, valued at the evaluation points x:
-    x^i * g_tilde(x)^j for a-slot (i, j), then x^b * h_B(x) for b-slot b."""
+    x^i * g_tilde(x)^j for a-slot (i, j), then x^b * h_B(x) for b-slot b,
+    as one product of two uint16 stacks indexed per slot: the powers of x,
+    and those of g_tilde(x) followed by h_B(x)."""
     x = np.array(eval_points, dtype=np.int64)
-    max_i = max([i for i, _ in layout.a_slots] + [layout.b_count - 1])
+    rows_i = [i for i, _ in layout.a_slots] + list(range(layout.b_count))
     max_j = max((j for _, j in layout.a_slots), default=0)
-    x_powers = [np.ones_like(x)]
-    for _ in range(max_i):
-        x_powers.append(F.mul_vec(x_powers[-1], x))
+    rows_j = [j for _, j in layout.a_slots] + [max_j + 1] * layout.b_count
+    xs = np.ones((max(rows_i) + 1, len(x)), dtype=np.uint16)
+    for i in range(1, len(xs)):
+        xs[i] = F.mul_vec(xs[i - 1], x)
     gt = poly_eval_vec(F, g_tilde, x)
-    gt_powers = [np.ones_like(x)]
-    for _ in range(max_j):
-        gt_powers.append(F.mul_vec(gt_powers[-1], gt))
-    hb = poly_eval_vec(F, h_B, x)
-    rows = [F.mul_vec(x_powers[i], gt_powers[j]) for i, j in layout.a_slots]
-    rows += [F.mul_vec(x_powers[b], hb) for b in range(layout.b_count)]
-    return np.array(rows)
+    right = np.ones((max_j + 2, len(x)), dtype=np.uint16)
+    for j in range(1, max_j + 1):
+        right[j] = F.mul_vec(right[j - 1], gt)
+    right[-1] = poly_eval_vec(F, h_B, x)
+    return F.mul_vec(xs[rows_i], right[rows_j])
 
 
 def build_code(params: CodeParams) -> CodeSpec:

@@ -10,8 +10,8 @@ Vector arithmetic lives here too: reduce_vec, add_vec, mul_vec, div_vec
 on integer numpy arrays, and poly_eval_vec evaluates a polynomial at an
 array of points.  Prime fields compute in int64 and reduce mod p (every
 product of two residues below 2^16 fits).  GF(2^e) gathers from
-log/antilog tables, built vectorised on the first vector op and cached
-per degree; the scalar methods never touch them.
+log/antilog tables (built on first use, cached per degree, never read by
+the scalar methods); matmul XOR-reduces bounded slices of the inner index.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .errors import (
 )
 
 MAX_ORDER = 1 << 16
+_SLICE_SYMBOLS = 1 << 16  # products per slice of a GF(2^e) matmul
 
 # Smallest irreducible binary polynomial of each degree, as a coefficient
 # bit mask (bit i = coefficient of x^i).  Degree 8 is the familiar 0x11B.
@@ -224,7 +225,10 @@ class Field:
             np.bitwise_xor(a, self.mul_vec(b, c), out=a)
 
     def matmul(self, A, B) -> np.ndarray:
-        """A @ B over the field for 2-D arrays, as an int64 array."""
+        """A @ B over the field for 2-D arrays, as an int64 array.  GF(2^e)
+        XOR-reduces exp[log a + log b] in uint16 over slices of the inner
+        index of at most _SLICE_SYMBOLS products (about 384 KiB of int32
+        sums and uint16 values), or of one index when that alone holds more."""
         A = np.asarray(A, dtype=np.int64)
         B = np.asarray(B, dtype=np.int64)
         if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
@@ -233,11 +237,12 @@ class Field:
             # K * (p-1)^2 stays below 2^63 for any inner size K < 2^31
             return A @ B % self.characteristic
         log, exp = binary_log_tables(self.extension_degree)
-        logs_a, logs_b = log[A], log[B]
-        out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
-        for i in range(A.shape[1]):
-            out ^= exp[logs_a[:, i, None] + logs_b[None, i, :]]
-        return out
+        out = np.zeros((A.shape[0], B.shape[1]), dtype=np.uint16)
+        step = max(1, _SLICE_SYMBOLS // max(1, out.size))
+        for s in range(0, A.shape[1], step):
+            terms = exp[log[A[:, s : s + step, None]] + log[B[None, s : s + step, :]]]
+            out ^= np.bitwise_xor.reduce(terms, axis=1)
+        return out.astype(np.int64)
 
 
 def smallest_primitive(F: Field) -> int:

@@ -93,8 +93,11 @@ def generator_matches(spec: CodeSpec) -> bool:
     encode and decode both use G, so a G that differs from the
     construction round-trips cleanly; only this check sees it.
     """
-    words = _unit_words(spec.field, slot_polynomials(spec), spec.eval_points)
-    return np.array_equal(words, spec.G)
+    return _generator_matches(spec, slot_polynomials(spec))
+
+
+def _generator_matches(spec: CodeSpec, slots: list[list[int]]) -> bool:
+    return np.array_equal(_unit_words(spec.field, slots, spec.eval_points), spec.G)
 
 
 # -- distance by exhaustive enumeration --------------------------------
@@ -227,11 +230,13 @@ def verify_shortening(spec: CodeSpec) -> bool:
     messages: each slot's coefficients above the cap must be zero, and
     its values at the t points of B must be zero.
     """
+    return _shortening_holds(spec, slot_polynomials(spec))
+
+
+def _shortening_holds(spec: CodeSpec, slots: list[list[int]]) -> bool:
     cap = degree_cap(spec.params)
-    slots = slot_polynomials(spec)
-    if any(any(slot[cap + 1 :]) for slot in slots):
-        return False
-    return not np.count_nonzero(_unit_words(spec.field, slots, spec.partition.B))
+    above_cap = any(any(slot[cap + 1 :]) for slot in slots)
+    return not above_cap and not np.count_nonzero(_unit_words(spec.field, slots, spec.partition.B))
 
 
 def run_verification(spec: CodeSpec, budget: int) -> VerificationReport:
@@ -252,13 +257,14 @@ def run_verification(spec: CodeSpec, budget: int) -> VerificationReport:
     p = spec.params
     d = predicted_distance(p)
     distance = brute_force_distance(spec, budget)
+    slots = slot_polynomials(spec)
     return VerificationReport(
         rank_ok=distance > 0,
-        generator_ok=generator_matches(spec),
+        generator_ok=_generator_matches(spec, slots),
         distance_found=distance,
         distance_expected=d,
         locality_ok=verify_locality(spec),
-        shortening_ok=verify_shortening(spec),
+        shortening_ok=_shortening_holds(spec, slots),
         erasure_ok=distance >= d,
         enumerated_words=p.q**p.k - 1,
     )

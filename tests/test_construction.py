@@ -4,6 +4,7 @@ import random
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from lrcodes import construction
@@ -27,7 +28,7 @@ from lrcodes.errors import (
     RateBoundViolated,
     SEqualsOne,
 )
-from lrcodes.field import lagrange_weights, poly_eval
+from lrcodes.field import lagrange_weights, poly_eval, poly_eval_vec
 
 
 def test_validate_params_reference():
@@ -114,6 +115,40 @@ def test_build_code_divisible_has_trivial_h_B():
 def test_generator_rank_is_k(grid_specs):
     for p, spec in grid_specs:
         assert rank(spec.field, spec.G) == p.k
+
+
+def _rowwise_generator(F, layout, g_tilde, h_B, eval_points):
+    """G by one mul_vec per slot: the reference for _generator_matrix's
+    single product of index-selected stacks."""
+    x = np.array(eval_points, dtype=np.int64)
+    max_i = max([i for i, _ in layout.a_slots] + [layout.b_count - 1])
+    max_j = max((j for _, j in layout.a_slots), default=0)
+    x_powers = [np.ones_like(x)]
+    for _ in range(max_i):
+        x_powers.append(F.mul_vec(x_powers[-1], x))
+    gt = poly_eval_vec(F, g_tilde, x)
+    gt_powers = [np.ones_like(x)]
+    for _ in range(max_j):
+        gt_powers.append(F.mul_vec(gt_powers[-1], gt))
+    hb = poly_eval_vec(F, h_B, x)
+    rows = [F.mul_vec(x_powers[i], gt_powers[j]) for i, j in layout.a_slots]
+    rows += [F.mul_vec(x_powers[b], hb) for b in range(layout.b_count)]
+    return np.array(rows, dtype=np.int64)
+
+
+# the repair and degraded benchmark codes, and two of the certify codes
+BENCH_CODES = [(65536, 62, 40, 7), (65521, 118, 80, 4), (16, 14, 5, 3), (1024, 8, 2, 2)]
+
+
+def test_generator_matrix_matches_rowwise_reference(grid_specs):
+    specs = [spec for _, spec in grid_specs]
+    specs += [build_code(validate_params(*code)) for code in BENCH_CODES]
+    for spec in specs:
+        args = (spec.field, spec.layout, spec.good.g_tilde, spec.h_B, spec.eval_points)
+        want = _rowwise_generator(*args)
+        got = construction._generator_matrix(*args)
+        assert np.array_equal(got, want)
+        assert spec.G.dtype == np.int64 and spec.G.tobytes() == want.tobytes()
 
 
 # In the reference code deg g_tilde = 4, deg h_B = 2 and the cap is 8.

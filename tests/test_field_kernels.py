@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 from lrcodes.errors import DivisionByZero
-from lrcodes.field import _IRREDUCIBLE, Field, binary_log_tables, smallest_primitive
+from lrcodes.field import (
+    _IRREDUCIBLE,
+    _SLICE_SYMBOLS,
+    Field,
+    binary_log_tables,
+    smallest_primitive,
+)
 from lrcodes import linalg
 from lrcodes.linalg import row_reduce
 from test_field import gf2_mul, gf2_pow, reference_mul
@@ -164,6 +170,82 @@ def test_matmul_matches_triple_loop(q):
         F.matmul(np.zeros((2, 3), dtype=np.int64), np.zeros((2, 3), dtype=np.int64))
 
 
+def _loop_matmul(F, A, B):
+    """The GF(2^e) product by one gather per inner index: the reference
+    for Field.matmul's sliced gathers."""
+    log, exp = binary_log_tables(F.extension_degree)
+    logs_a, logs_b = log[A], log[B]
+    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
+    for i in range(A.shape[1]):
+        out ^= exp[logs_a[:, i, None] + logs_b[None, i, :]]
+    return out
+
+
+def _slice_width(rows, cols):
+    return max(1, _SLICE_SYMBOLS // max(1, rows * cols))
+
+
+# (rows, inner, cols): several slices with a partial last one, one message
+# by a generator in one slice or in three, one inner index per slice (at
+# the cap and beyond it), and empty and 1 x 1 products
+SLICED_SHAPES = [
+    (40, 50, 40),
+    (128, 5, 256),
+    (1, 40, 62),
+    (1, 3000, 62),
+    (256, 3, 256),
+    (300, 3, 300),
+    (1, 1, 1),
+    (0, 3, 2),
+    (2, 0, 3),
+    (4, 2, 0),
+]
+
+
+def test_sliced_shapes_span_partial_and_single_index_slices():
+    widths = {shape: _slice_width(shape[0], shape[2]) for shape in SLICED_SHAPES}
+    assert widths[(40, 50, 40)] == 40
+    assert widths[(128, 5, 256)] == 2
+    assert 2 * widths[(1, 3000, 62)] < 3000 < 3 * widths[(1, 3000, 62)]
+    assert widths[(256, 3, 256)] == widths[(300, 3, 300)] == 1
+
+
+@pytest.mark.parametrize("e", range(2, 17))
+def test_binary_matmul_matches_inner_index_loop(e):
+    q = 1 << e
+    F = Field(q)
+    rng = np.random.default_rng(e)
+    for rows, inner, cols in SLICED_SHAPES:
+        A = rng.integers(0, q, (rows, inner))
+        B = rng.integers(0, q, (inner, cols))
+        A[:, ::7] = 0
+        B[1::5] = 0
+        A_in, B_in = A.copy(), B.copy()
+        got = F.matmul(A, B)
+        assert got.dtype == np.int64 and got.shape == (rows, cols)
+        assert np.array_equal(got, _loop_matmul(F, A, B))
+        assert np.array_equal(A, A_in) and np.array_equal(B, B_in)
+
+
+@pytest.mark.parametrize("e", range(2, 17))
+def test_binary_matmul_of_all_top_elements_with_zeros_on_a_slice_boundary(e):
+    q = 1 << e
+    F = Field(q)
+    rows, inner, cols = 40, 50, 40
+    width = _slice_width(rows, cols)
+    A = np.full((rows, inner), q - 1, dtype=np.int64)
+    B = np.full((inner, cols), q - 1, dtype=np.int64)
+    # zeros at the last index of the first slice and the first of the second
+    A[::2, width - 1] = 0
+    B[width, ::3] = 0
+    got = F.matmul(A, B)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, _loop_matmul(F, A, B))
+    # entry (i, j) sums (q - 1)^2 over the inner indices where neither is zero
+    terms = inner - (np.arange(rows)[:, None] % 2 == 0) - (np.arange(cols) % 3 == 0)
+    assert np.array_equal(got, np.where(terms % 2, F.mul(q - 1, q - 1), 0))
+
+
 def _low_rank(F, rng, nrows, ncols, rank):
     """A random nrows x ncols matrix of rank at most *rank*."""
     basis = np.array([[rng.randrange(F.order) for _ in range(ncols)] for _ in range(rank)],
@@ -225,9 +307,8 @@ def test_row_reduce_stack_of_full_rank_systems(q):
 
 
 @pytest.mark.parametrize("q", ORDERS)
-def test_solve_stack_refuses_systems_without_one_solution(q):
-    # named for the lockstep solver these systems once tested; row_reduce's
-    # pivots show each of decode_erasures' two refusals
+def test_row_reduce_pivots_show_systems_without_one_solution(q):
+    # row_reduce's pivots show each of decode_erasures' two refusals
     F = Field(q)
     rng = random.Random(q + 3)
     nrows, k = 6, 4
