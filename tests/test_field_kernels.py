@@ -307,8 +307,9 @@ def test_row_reduce_stack_of_full_rank_systems(q):
 
 
 @pytest.mark.parametrize("q", ORDERS)
-def test_row_reduce_pivots_show_systems_without_one_solution(q):
-    # row_reduce's pivots show each of decode_erasures' two refusals
+def test_solve_stack_refuses_systems_without_one_solution(q):
+    # named for the lockstep solver these systems once tested; row_reduce's
+    # pivots show each of decode_erasures' two refusals
     F = Field(q)
     rng = random.Random(q + 3)
     nrows, k = 6, 4
