@@ -11,9 +11,9 @@ build_code evaluates that structure once, with the field's vector
 kernels, into the generator matrix G: one row per message slot, held
 by CodeSpec as one read-only k x n int64 array.  It certifies rank k
 from the slots' degrees, with no elimination; the verify module reads
-the rank of G off its distance walk, and checks G and the shortening
-against slot_polynomials, the independent polynomial path.  encode is
-msg . G and nothing else.
+the rank of G off its distance walk, checks G row by row against the
+slot recurrences, and checks the shortening from the slots' structure.
+encode is msg . G and nothing else.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .errors import (
     RateBoundViolated,
     SEqualsOne,
 )
-from .field import Field, poly_eval_vec, poly_from_roots, poly_mul, poly_shift
+from .field import Field, poly_eval_vec, poly_from_roots
 from .goodpoly import (
     MULTIPLICATIVE,
     GoodPolynomial,
@@ -82,7 +82,9 @@ class MessageLayout:
 class CodeSpec:
     """A built code.  G is its k x n generator matrix: whatever rows it
     is given become one read-only int64 array here, so every consumer
-    slices the same array.  (No value equality: an array field has none.)
+    slices the same array.  A read-only int64 array that owns its data,
+    such as the one build_code makes, is kept as it is; anything else is
+    copied.  (No value equality: an array field has none.)
 
     groups holds, per block, the 0-based coordinates of its surviving
     points in ascending order, and group_of the 0-based block of each
@@ -102,7 +104,11 @@ class CodeSpec:
     G: np.ndarray
 
     def __post_init__(self) -> None:
-        G = np.array(self.G, dtype=np.int64)
+        G = self.G
+        owned = isinstance(G, np.ndarray) and G.dtype == np.int64 and G.base is None
+        if owned and not G.flags.writeable:
+            return
+        G = np.array(G, dtype=np.int64)
         G.flags.writeable = False
         object.__setattr__(self, "G", G)
 
@@ -179,23 +185,6 @@ def _check_message(msg: Sequence[int], spec: CodeSpec) -> None:
         spec.field.check(x)
 
 
-def slot_polynomials(spec: CodeSpec) -> list[list[int]]:
-    """One polynomial per message slot: x^i * g_tilde^j for a-slot (i, j),
-    then x^b * h_B for b-slot b.  Unit message i's polynomial is entry i.
-
-    The powers of g_tilde are built once per call; nothing is cached,
-    so every caller recomputes them from the spec it is given.
-    """
-    F, layout = spec.field, spec.layout
-    gt_powers: list[list[int]] = [[1]]
-    max_j = max((j for _, j in layout.a_slots), default=0)
-    for _ in range(max_j):
-        gt_powers.append(poly_mul(F, gt_powers[-1], spec.good.g_tilde))
-    slots = [poly_shift(gt_powers[j], i) for i, j in layout.a_slots]
-    slots += [poly_shift(spec.h_B, b) for b in range(layout.b_count)]
-    return slots
-
-
 def encode(msg: Sequence[int], spec: CodeSpec) -> list[int]:
     """The codeword msg . G."""
     _check_message(msg, spec)
@@ -262,6 +251,7 @@ def build_code(params: CodeParams) -> CodeSpec:
     if len(set(degrees)) != len(degrees) or max(degrees) > cap:
         raise InternalInconsistency(f"slot degrees are not pairwise distinct and <= {cap}")
     G = _generator_matrix(F, layout, good.g_tilde, h_B, eval_points)
+    G.flags.writeable = False
     return CodeSpec(
         params=params,
         field=F,

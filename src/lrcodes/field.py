@@ -193,7 +193,10 @@ class Field:
     def mul_vec(self, a, b) -> np.ndarray:
         """Elementwise product."""
         if self.extension_degree == 1:
-            return np.asarray(a, dtype=np.int64) * b % self.characteristic
+            # int64 without casting whole inputs first; reduced in place
+            out = np.multiply(a, b, dtype=np.int64)
+            out %= self.characteristic
+            return out
         log, exp = binary_log_tables(self.extension_degree)
         return exp[log[a] + log[b]]
 
@@ -306,13 +309,6 @@ def poly_trim(coeffs: Sequence[int]) -> list[int]:
     while out and out[-1] == 0:
         out.pop()
     return out
-
-
-def poly_shift(p: Sequence[int], i: int) -> list[int]:
-    """Multiply by x^i."""
-    if not p:
-        return []
-    return [0] * i + list(p)
 
 
 def poly_mul(F: Field, a: Sequence[int], b: Sequence[int]) -> list[int]:

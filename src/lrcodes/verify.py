@@ -1,16 +1,18 @@
 """Independent brute-force oracles for every claim a built code makes.
 
 Nothing here trusts the construction: the stored generator matrix is
-compared with the construction's polynomials evaluated directly,
-distance from enumerating the whole message space up to scalar
-multiples (one message per class of nonzero multiples), dimension and
-erasure tolerance from the same walk (G has rank k exactly when no
-nonzero message encodes to the zero word, and every d - 1 erasures
-decode exactly when no nonzero codeword has weight below d), locality
-from checking that each repair group's columns of the generator matrix
-obey the Lagrange weights that repair uses, shortening from the k unit
-messages' polynomials (degree at most the parent's cap, zeros on the
-dropped points).  Every oracle is exact.  Enumeration is budget-gated;
+checked row by row against the slot recurrences (each row the values
+of g_tilde or h_B, by Horner on the stored coefficients, or an earlier
+row times x or g_tilde(x)), distance from enumerating the whole message
+space up to scalar multiples (one message per class of nonzero
+multiples), dimension and erasure tolerance from the same walk (G has
+rank k exactly when no nonzero message encodes to the zero word, and
+every d - 1 erasures decode exactly when no nonzero codeword has weight
+below d), locality from checking that each repair group's columns of
+the generator matrix obey the Lagrange weights that repair uses,
+shortening from the slots' structure (each has a factor g_tilde or
+h_B, both zero on the dropped points, and a degree at most the
+parent's cap).  Every oracle is exact.  Enumeration is budget-gated;
 a report is either complete or the run aborts with BudgetExceeded.
 
 Codeword batches are computed with the field's numpy kernels
@@ -25,14 +27,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Sequence
 
 import numpy as np
 
 from .bounds import predicted_distance
-from .construction import CodeSpec, degree_cap, slot_polynomials
+from .construction import CodeSpec, degree_cap
 from .errors import BudgetExceeded
-from .field import Field, lagrange_weights
+from .field import lagrange_weights, poly_eval_vec, poly_trim
 from .repair import locate_group
 
 DEFAULT_CHUNK_CAP = 1 << 20
@@ -69,35 +70,39 @@ class VerificationReport:
 # -- the stored generator matrix ---------------------------------------
 
 
-def _unit_words(F: Field, slots: list[list[int]], points: Sequence[int]) -> np.ndarray:
-    """k x len(points) array: row i holds the values at *points* of unit
-    message i's polynomial, slots[i] of slot_polynomials (G is never read).
-
-    One F.matmul of the k x D slot-coefficient matrix with the D x
-    len(points) Vandermonde matrix of the points, D the longest slot."""
-    D = max(len(slot) for slot in slots)
-    coeffs = np.zeros((len(slots), D), dtype=np.int64)
-    for i, slot in enumerate(slots):
-        coeffs[i, : len(slot)] = slot
-    xs = np.array(points, dtype=np.int64)
-    powers = [np.ones_like(xs)]
-    for _ in range(D - 1):
-        powers.append(F.mul_vec(powers[-1], xs))
-    return F.matmul(coeffs, np.array(powers))
-
-
 def generator_matches(spec: CodeSpec) -> bool:
-    """Whether each row of G is its unit message's codeword by the
-    polynomial path: assemble the polynomial, evaluate it at the n points.
+    """Whether each row of G is its slot's values at the n points:
+    x^i * g_tilde(x)^j for a-slot (i, j), x^b * h_B(x) for b-slot b.
+
+    g_tilde(x) and h_B(x) come from Horner on the stored coefficients.
+    Rows (0, 1) and b-slot 0 must equal them; every other row must be
+    an earlier row times x ((i - 1, j) for i >= 1, b-slot b - 1) or
+    times g_tilde(x) ((0, j - 1)), which by induction makes every row
+    its slot's values.  All k comparisons take one F.mul_vec over the
+    stacked predecessors: O(k n).  A G of another shape or with a
+    symbol outside the field fails, and so does a layout whose slots do
+    not chain this way (message_layout's always do).
 
     encode and decode both use G, so a G that differs from the
     construction round-trips cleanly; only this check sees it.
     """
-    return _generator_matches(spec, slot_polynomials(spec))
-
-
-def _generator_matches(spec: CodeSpec, slots: list[list[int]]) -> bool:
-    return np.array_equal(_unit_words(spec.field, slots, spec.eval_points), spec.G)
+    F, layout, p = spec.field, spec.layout, spec.params
+    G = spec.G
+    if G.shape != (p.k, p.n) or G.min() < 0 or G.max() >= F.order:
+        return False
+    # stacked row 0 is the constant 1, row s + 1 is slot s; multipliers
+    # 0, 1 and 2 are x, g_tilde(x) and h_B(x)
+    row = {slot: s + 1 for s, slot in enumerate(layout.a_slots)}
+    row[0, 0] = 0
+    steps = [(row.get((i - 1, j)), 0) if i else (row.get((0, j - 1)), 1) for i, j in layout.a_slots]
+    steps += [(len(layout.a_slots) + b, 0) if b else (0, 2) for b in range(layout.b_count)]
+    if any(pred is None for pred, _ in steps):
+        return False
+    preds, mults = zip(*steps)
+    x = np.array(spec.eval_points, dtype=np.int64)
+    stacked = np.vstack([np.ones_like(x), G])
+    factors = np.array([x, poly_eval_vec(F, spec.good.g_tilde, x), poly_eval_vec(F, spec.h_B, x)])
+    return np.array_equal(F.mul_vec(stacked[list(preds)], factors[list(mults)]), G)
 
 
 # -- distance by exhaustive enumeration --------------------------------
@@ -225,18 +230,26 @@ def verify_shortening(spec: CodeSpec) -> bool:
     has degree <= degree_cap (the parent's cap) and vanishes on the
     dropped points B.
 
-    Both conditions are linear in the message, so the k unit messages'
-    polynomials, slot_polynomials(spec), decide them for all q^k
-    messages: each slot's coefficients above the cap must be zero, and
-    its values at the t points of B must be zero.
+    Both conditions are linear in the message, so the k slot polynomials
+    decide them for all q^k messages, and their structure decides them
+    without forming one: a-slot (i, j) is x^i * g_tilde^j and b-slot b
+    is x^b * h_B.  Every a-slot has j >= 1 and g_tilde vanishes on B,
+    and h_B vanishes on B, so every slot does; the largest slot degree,
+    from the trimmed g_tilde and h_B, is at most the cap.  g_tilde is
+    evaluated only when some a-slot uses it, h_B when some b-slot does.
     """
-    return _shortening_holds(spec, slot_polynomials(spec))
-
-
-def _shortening_holds(spec: CodeSpec, slots: list[list[int]]) -> bool:
-    cap = degree_cap(spec.params)
-    above_cap = any(any(slot[cap + 1 :]) for slot in slots)
-    return not above_cap and not np.count_nonzero(_unit_words(spec.field, slots, spec.partition.B))
+    F, layout = spec.field, spec.layout
+    deg_gt = len(poly_trim(spec.good.g_tilde)) - 1
+    deg_hb = len(poly_trim(spec.h_B)) - 1
+    degrees = [i + j * deg_gt for i, j in layout.a_slots]
+    degrees += [b + deg_hb for b in range(layout.b_count)]
+    used = [spec.good.g_tilde] * bool(layout.a_slots) + [spec.h_B] * bool(layout.b_count)
+    B = np.array(spec.partition.B, dtype=np.int64)
+    return (
+        all(j >= 1 for _, j in layout.a_slots)
+        and max(degrees) <= degree_cap(spec.params)
+        and not any(np.count_nonzero(poly_eval_vec(F, f, B)) for f in used)
+    )
 
 
 def run_verification(spec: CodeSpec, budget: int) -> VerificationReport:
@@ -257,14 +270,13 @@ def run_verification(spec: CodeSpec, budget: int) -> VerificationReport:
     p = spec.params
     d = predicted_distance(p)
     distance = brute_force_distance(spec, budget)
-    slots = slot_polynomials(spec)
     return VerificationReport(
         rank_ok=distance > 0,
-        generator_ok=_generator_matches(spec, slots),
+        generator_ok=generator_matches(spec),
         distance_found=distance,
         distance_expected=d,
         locality_ok=verify_locality(spec),
-        shortening_ok=_shortening_holds(spec, slots),
+        shortening_ok=verify_shortening(spec),
         erasure_ok=distance >= d,
         enumerated_words=p.q**p.k - 1,
     )

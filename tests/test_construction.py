@@ -3,6 +3,7 @@
 import random
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -190,6 +191,30 @@ def test_readme_long_code_is_under_the_size_cap():
     p = validate_params(65536, 4000, 2000, 15)
     assert p.k * p.n <= construction.MAX_GENERATOR_SYMBOLS
     assert build_code(p).G.shape == (2000, 4000)
+
+
+@pytest.mark.parametrize("q", [65521, 65536])
+def test_build_code_peak_is_about_one_generator_and_a_half(q):
+    # 8 MiB of int64 symbols.  Over GF(p) the product once cast both uint16
+    # stacks to int64 before multiplying, and CodeSpec copied the result:
+    # 2.57 G at this size, and either fix alone leaves it above 2 G.
+    p = validate_params(q, 2048, 512, 15)
+    tracemalloc.start()
+    try:
+        spec = build_code(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.75 * spec.G.nbytes
+
+
+def test_code_spec_keeps_its_own_generator_and_copies_a_writable_one():
+    built = build_code(validate_params(13, 10, 5, 3))
+    assert replace(built, G=built.G).G is built.G
+    G = built.G.copy()
+    spec = replace(built, G=G)
+    G[0, 0] += 1
+    assert np.array_equal(spec.G, built.G) and not spec.G.flags.writeable
 
 
 def test_build_long_code_is_fast():

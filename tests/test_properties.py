@@ -1,7 +1,8 @@
-"""Property test: every oracle passes on valid codes across the whole
+"""Property tests: every oracle passes on valid codes across the whole
 supported field range, the report's rank agrees with elimination, and
 the decoder recovers d - 1 erasures but not the support of a
-minimum-weight word."""
+minimum-weight word; the generator and shortening oracles agree with
+the tests' polynomial reference, also on a G with one entry changed."""
 
 import random
 from dataclasses import replace
@@ -10,9 +11,14 @@ from math import ceil
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import rank
+from conftest import rank, reference_generator_matches, reference_shortening
 from lrcodes import Unrecoverable, build_code, decode_erasures, encode, validate_params
-from lrcodes.verify import minimum_weight_word, run_verification
+from lrcodes.verify import (
+    generator_matches,
+    minimum_weight_word,
+    run_verification,
+    verify_shortening,
+)
 
 MAX_N = 24
 BUDGET = 200_000
@@ -75,3 +81,18 @@ def test_every_oracle_passes_and_rank_matches_elimination(code, data):
         deficient = run_verification(replace(spec, G=G), BUDGET)
         assert deficient.rank_ok == (rank(F, G) == k)
         assert not deficient.all_ok
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(code_params(), st.data())
+def test_generator_and_shortening_oracles_match_the_reference(code, data):
+    spec = build_code(validate_params(*code))
+    q, n, k = code[:3]
+    i = data.draw(st.integers(0, k - 1), label="row")
+    j = data.draw(st.integers(0, n - 1), label="column")
+    G = spec.G.copy()
+    G[i, j] = data.draw(st.sampled_from([v for v in (0, 1, q - 1) if v != G[i, j]]), label="value")
+    for each in (spec, replace(spec, G=G)):
+        assert generator_matches(each) == reference_generator_matches(each)
+        assert verify_shortening(each) == reference_shortening(each)
+    assert generator_matches(spec) and not generator_matches(replace(spec, G=G))

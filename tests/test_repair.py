@@ -6,7 +6,8 @@ from itertools import chain, combinations
 
 import pytest
 
-from conftest import scan_group
+from conftest import rank, scan_group
+from lrcodes.bounds import predicted_distance
 from lrcodes.construction import build_code, encode, validate_params
 from lrcodes.errors import (
     DuplicateAbscissa,
@@ -214,6 +215,53 @@ def test_decode_unrecoverable_on_min_weight_support(ref_spec):
     received = [None if j in support else v for j, v in enumerate(cw, 1)]
     with pytest.raises(Unrecoverable):
         decode_erasures(ref_spec, received)
+
+
+# the repair and degraded benchmark codes
+BENCH_CODES = [(65536, 62, 40, 7), (65521, 118, 80, 4)]
+
+
+def _erase(spec, msg, erased):
+    return [None if j in erased else v for j, v in enumerate(encode(msg, spec))]
+
+
+def test_decode_succeeds_exactly_when_the_known_columns_have_rank_k(grid_specs):
+    # beyond d - 1 erasures msg . G = received still pins msg down whenever
+    # the known columns of G have rank k: random patterns of every size
+    # from d to n - k, three per size on the grid codes, four on the others
+    rng = random.Random(31)
+    specs = [(spec, 3) for _, spec in grid_specs]
+    specs += [(build_code(validate_params(*code)), 4) for code in BENCH_CODES]
+    decoded = {True: 0, False: 0}
+    for spec, tries in specs:
+        p = spec.params
+        for size in range(predicted_distance(p), p.n - p.k + 1):
+            for _ in range(tries):
+                msg = [rng.randrange(p.q) for _ in range(p.k)]
+                erased = set(rng.sample(range(p.n), size))
+                received = _erase(spec, msg, erased)
+                known = [j for j in range(p.n) if j not in erased]
+                full_rank = rank(spec.field, spec.G[:, known].T) == p.k
+                decoded[full_rank] += 1
+                if full_rank:
+                    assert decode_erasures(spec, received) == msg
+                else:
+                    with pytest.raises(Unrecoverable):
+                        decode_erasures(spec, received)
+    assert min(decoded.values()) > 50, decoded
+
+
+def test_one_erasure_in_every_group_decodes(grid_specs):
+    # each erased symbol is fixed by its group's other r values (helpers
+    # and known zeros), so the known symbols determine the codeword
+    rng = random.Random(37)
+    specs = [spec for _, spec in grid_specs]
+    specs += [build_code(validate_params(*code)) for code in BENCH_CODES + [(257, 200, 120, 7)]]
+    for spec in specs:
+        p = spec.params
+        msg = [rng.randrange(p.q) for _ in range(p.k)]
+        erased = {rng.choice(group) for group in spec.groups}
+        assert decode_erasures(spec, _erase(spec, msg, erased)) == msg
 
 
 def test_decode_rejects_non_codeword(ref_spec):

@@ -10,7 +10,13 @@ from math import comb
 import numpy as np
 import pytest
 
-from conftest import assemble_polynomial, rank
+from conftest import (
+    assemble_polynomial,
+    derive_grid,
+    rank,
+    reference_generator_matches,
+    reference_shortening,
+)
 from lrcodes import verify
 from lrcodes.bounds import predicted_distance
 from lrcodes.construction import build_code, encode, validate_params
@@ -25,6 +31,10 @@ from lrcodes.verify import (
     verify_locality,
     verify_shortening,
 )
+
+
+# the repair and degraded benchmark codes, and a GF(2^10) code
+MID_CODES = [(65536, 62, 40, 7), (65521, 118, 80, 4), (1024, 120, 60, 10)]
 
 
 def _naive_distance(spec):
@@ -174,19 +184,58 @@ def test_distance_memory_is_capped_above_k1(q, n, k, r, d, monkeypatch):
     assert peak < 4 << 20
 
 
-def test_generator_matches_the_polynomial_path(grid_specs):
-    # build_code's G, from pointwise powers, against the assembled polynomials
-    for p, spec in grid_specs:
+def _every_grid_code():
+    """All 340 valid codes of the acceptance grid, q^k unbounded."""
+    return [build_code(p) for p in derive_grid(budget=float("inf"))]
+
+
+def _generator_tamperings(spec):
+    """G with one entry changed, a column scaled by 2, the last row
+    times x (the wrong power of x), and the first and last rows swapped."""
+    F, G = spec.field, spec.G
+    k, n = G.shape
+    changed = G.copy()
+    changed[k // 2, n // 2] = F.add(int(G[k // 2, n // 2]), 1)
+    scaled = G.copy()
+    scaled[:, n // 3] = F.mul_vec(G[:, n // 3], 2)
+    shifted = G.copy()
+    shifted[-1] = F.mul_vec(G[-1], np.array(spec.eval_points))
+    swapped = [G[[k - 1, *range(1, k - 1), 0]]] if k > 1 else []
+    return [replace(spec, G=bad) for bad in [changed, scaled, shifted, *swapped]]
+
+
+def test_generator_matches_the_polynomial_path():
+    # the recurrences against the Vandermonde reference, as built and tampered
+    specs = _every_grid_code()
+    assert len(specs) == 340
+    specs += [build_code(validate_params(*code)) for code in MID_CODES]
+    for spec in specs:
+        assert generator_matches(spec) and reference_generator_matches(spec)
+        for bad in _generator_tamperings(spec):
+            assert generator_matches(bad) == reference_generator_matches(bad)
+
+
+def test_generator_matches_long_codes(long_specs):
+    # the reference takes 1.5 s and 4.2 s on these; the recurrences about 0.02 s
+    for spec in long_specs:
         assert generator_matches(spec)
-    for code in ((65536, 62, 40, 7), (65521, 118, 80, 4), (1024, 120, 60, 10)):
-        assert generator_matches(build_code(validate_params(*code)))
+        for bad in _generator_tamperings(spec):
+            assert not generator_matches(bad)
+
+
+def test_generator_matches_refuses_a_misshapen_or_foreign_generator(ref_spec):
+    # a symbol outside [0, q) would index past GF(2^e)'s log table
+    for spec in (ref_spec, build_code(validate_params(16, 14, 5, 3))):
+        G, q = spec.G, spec.field.order
+        for bad in (G[:, :-1], G[:-1], np.where(G == G[0, 0], q, G), np.where(G == G[1, 1], -1, G)):
+            assert not generator_matches(replace(spec, G=bad))
 
 
 def test_verify_locality_on_built_codes(grid_specs):
     rng = random.Random(13)
     for p, spec in rng.sample(grid_specs, 15):
         assert verify_locality(spec)
-    for code in ((65536, 62, 40, 7), (65521, 118, 80, 4), (1024, 120, 60, 10)):
+    for code in MID_CODES:
         assert verify_locality(build_code(validate_params(*code)))
 
 
@@ -312,6 +361,15 @@ def test_verify_shortening_matches_rank_reference(grid_specs, ref_spec):
     for bad in _tampered_specs(ref_spec):
         assert not _embeds_by_rank(bad)
         assert not verify_shortening(bad)
+
+
+def test_verify_shortening_agrees_with_the_coefficient_reference(long_specs):
+    specs = _every_grid_code() + long_specs
+    specs += [build_code(validate_params(*code)) for code in MID_CODES]
+    for spec in specs:
+        assert verify_shortening(spec) and reference_shortening(spec)
+        for bad in _tampered_specs(spec):
+            assert verify_shortening(bad) == reference_shortening(bad)
 
 
 def _erasure_reference(spec, e):
