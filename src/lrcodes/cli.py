@@ -4,12 +4,11 @@ Exit codes: 0 success, 2 invalid input or parameters, 3 verification or
 decoding failure.  All symbol I/O is space-separated ASCII-digit integers;
 "?" marks an erased coordinate in decode input.
 
-A code file stores (q, n, k, r), everything the construction derives
-from them, and the generator matrix G.  Loading rebuilds the code from
-(q, n, k, r) and refuses a file whose derived fields differ from the
-rebuild; G is kept as stored, and encode (msg . G) and decode both use
-it, so the two cannot disagree.  The verify command checks G against
-the construction's polynomials.
+A code file names its code by (q, n, k, r) and spells out, for a reader,
+what the construction derives from them; it stores no generator matrix.
+Loading builds the code from (q, n, k, r) and refuses a file that is
+not exactly the rebuilt document, so encode, decode and verify all use
+the one G that build_code made.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 from typing import Sequence
 
@@ -33,7 +32,8 @@ from .errors import LrcError, Unrecoverable
 from .repair import decode_erasures, repair_group_values, repair_local
 from .verify import DEFAULT_BUDGET, run_verification
 
-SPEC_VERSION = 1
+# version 1 files also stored G; they are refused, not read a second way
+SPEC_VERSION = 2
 
 
 # -- persistence --------------------------------------------------------
@@ -44,9 +44,9 @@ def _params_doc(params: CodeParams) -> dict:
     return {"m" if name == "m_blocks" else name: v for name, v in asdict(params).items()}
 
 
-def _derived_doc(spec: CodeSpec) -> dict:
-    """Every field of the code file but the generator matrix: what a
-    loader compares with the rebuild.  k_prime is left out, as k + t."""
+def spec_to_dict(spec: CodeSpec) -> dict:
+    """The code file's document: (q, n, k, r) and what the construction
+    derives from them.  k_prime is left out, as k + t."""
     params = _params_doc(spec.params)
     del params["k_prime"]
     return {
@@ -58,11 +58,6 @@ def _derived_doc(spec: CodeSpec) -> dict:
         "h_B": spec.h_B,
         "eval_points": spec.eval_points,
     }
-
-
-def spec_to_dict(spec: CodeSpec) -> dict:
-    """The code file's document: the derived fields, then G."""
-    return {**_derived_doc(spec), "generator_matrix": spec.G.tolist()}
 
 
 def write_spec_file(spec: CodeSpec, path: str | Path) -> None:
@@ -81,13 +76,12 @@ def _is_int(x: object) -> bool:
 
 
 def load_spec_file(path: str | Path) -> CodeSpec:
-    """Load a code file by rebuilding its code from (q, n, k, r).
+    """Load a code file by building the code its (q, n, k, r) name.
 
-    Every stored field but the generator matrix must equal the rebuilt
-    one as JSON text, so types count too (true is not 1).  The generator
-    matrix is shape- and field-checked, then kept as stored, so that the
-    verify command can report (rather than refuse to load) a tampered
-    matrix.
+    The file must hold exactly the keys of the rebuilt document, each
+    equal to the rebuilt value as JSON text, so types count too (true is
+    not 1).  validate_params bounds the rebuild by the same k * n cap
+    that construct has.
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -95,31 +89,23 @@ def load_spec_file(path: str | Path) -> CodeSpec:
         raise LrcError("bad code file: JSON nested too deeply") from None
     _expect(isinstance(doc, dict), "top level is not an object")
     version = doc.get("version")
-    _expect(_is_int(version) and version == SPEC_VERSION, f"unsupported version {version!r}")
+    _expect(
+        _is_int(version) and version == SPEC_VERSION,
+        f"unsupported version {version!r}; re-run construct to write a version {SPEC_VERSION} file",
+    )
     for key in ("q", "n", "k", "r"):
         _expect(_is_int(doc.get(key)), f"missing or non-integer field {key!r}")
     q, n, k, r = doc["q"], doc["n"], doc["k"], doc["r"]
-    # checked before the rebuild, so that the rebuilt G is no larger than the file's
-    G = doc.get("generator_matrix")
-    _expect(
-        isinstance(G, list)
-        and len(G) == k
-        # exactly {int}: JSON true loads as bool, a subclass of int
-        and all(
-            isinstance(row, list) and len(row) == n and set(map(type, row)) == {int}
-            for row in G
-        )
-        and min(map(min, G), default=0) >= 0
-        and max(map(max, G), default=0) < q,
-        "generator matrix must be k rows of n field elements",
-    )
     spec = build_code(validate_params(q, n, k, r))
-    for key, value in _derived_doc(spec).items():
+    rebuilt = spec_to_dict(spec)
+    for key in doc:
+        _expect(key in rebuilt, f"unexpected field {key!r}")
+    for key, value in rebuilt.items():
         _expect(
             json.dumps(doc.get(key), sort_keys=True) == json.dumps(value, sort_keys=True),
             f"{key!r} does not match the code built from (q, n, k, r) = {(q, n, k, r)}",
         )
-    return replace(spec, G=G)
+    return spec
 
 
 # -- symbol parsing -----------------------------------------------------

@@ -13,12 +13,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import assemble_polynomial
-from lrcodes.cli import _derived_doc, build_parser, load_spec_file, main, spec_to_dict, write_spec_file
-from lrcodes.construction import build_code, validate_params
+from lrcodes.cli import build_parser, load_spec_file, main, spec_to_dict, write_spec_file
+from lrcodes.construction import build_code, encode, validate_params
 from lrcodes.errors import LrcError
-from lrcodes.field import poly_eval, poly_from_roots
-from lrcodes.verify import DEFAULT_BUDGET
+from lrcodes.field import poly_from_roots
+from lrcodes.repair import decode_erasures
+from lrcodes.verify import DEFAULT_BUDGET, run_verification
 
 
 @pytest.fixture
@@ -57,12 +57,15 @@ def test_construct_deterministic(tmp_path):
 
 
 def test_spec_file_schema(code_file):
+    # the file is spec_to_dict's document and nothing else: no generator matrix
+    spec = build_code(validate_params(13, 10, 5, 3))
+    assert code_file.read_text() == json.dumps(spec_to_dict(spec), indent=2) + "\n"
     doc = json.loads(code_file.read_text())
     assert list(doc) == [
         "version", "q", "n", "k", "r", "s", "t", "m", "n_bar", "subgroup",
-        "blocks", "B", "gamma", "g_tilde", "h_B", "eval_points", "generator_matrix",
+        "blocks", "B", "gamma", "g_tilde", "h_B", "eval_points",
     ]
-    assert doc["version"] == 1
+    assert doc["version"] == 2
     assert doc["subgroup"] == {"kind": "multiplicative", "elements": [1, 5, 8, 12]}
     assert doc["B"] == [7, 9]
     assert doc["g_tilde"] == [4, 0, 0, 0, 1]
@@ -96,12 +99,22 @@ def test_groups_survive_load_and_replace(code_file):
         assert spec.group_of == built.group_of
 
 
-# sha256 of construct output, fixed when the generator matrix was still
-# built by assembling and evaluating one polynomial per row
+# sha256 of construct output (format version 2), and of json.dumps(G.tolist())
+# for the G that build_code makes and every load uses; the G values were
+# fixed when version-1 files still stored G, and hold G byte-identical
 GOLDEN = {
-    (13, 10, 5, 3): "9bf416b4147f43dbc870fc802ce9c7ecfd41ae0f4a2913d48d50112bdaaf6527",
-    (16, 14, 5, 3): "74627109c8bc42d85632eda3b4c1ae3ecb5ec56ec3ee16424613a102c4b7093a",
-    (65536, 62, 40, 7): "64aa0ce300380c4b60b8e55d4c939e279c3df3f9420899d652be9ecd1dc7fc20",
+    (13, 10, 5, 3): (
+        "dc3d4f96ca50bc5d16d62c9c20dc01375281c44828c880f714927b5efa6572e0",
+        "5b01b03a81340210c57a3b8798ebe83c51a4affc15f43342d844529025674990",
+    ),
+    (16, 14, 5, 3): (
+        "5993324407d5ac59be237da7401b5c5d378ef780be7087f44a4efde8b7e05b25",
+        "01f1fd24b1ca87ca4f8d7b0a1be692f51b6f8aa7ca972b306a8464f6f6b93db4",
+    ),
+    (65536, 62, 40, 7): (
+        "6601533e1eb5304d652b2736a68daae8828940023bc12a4eebb73438aed7d41a",
+        "6a0d349fd2e7cae477c7b8505a141539188ba3c3aee17ae59a963830cba32484",
+    ),
 }
 
 
@@ -111,38 +124,50 @@ def test_construct_output_is_golden(tmp_path, capsys, code):
     q, n, k, r = map(str, code)
     assert main(["construct", "--q", q, "--n", n, "--k", k, "--r", r, "--out", str(path)]) == 0
     capsys.readouterr()
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN[code]
-    assert spec_to_dict(load_spec_file(path)) == spec_to_dict(build_code(validate_params(*code)))
+    file_sha, g_sha = GOLDEN[code]
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == file_sha
+    built = build_code(validate_params(*code))
+    assert hashlib.sha256(json.dumps(built.G.tolist()).encode()).hexdigest() == g_sha
+    loaded = load_spec_file(path)
+    assert spec_to_dict(loaded) == spec_to_dict(built)
+    assert np.array_equal(loaded.G, built.G)
 
 
-def test_load_rejects_corruption(tmp_path, code_file):
-    def corrupted(mutate):
+def test_load_rejects_corruption(capsys, tmp_path, code_file):
+    # exit 2 and a message naming the problem: a version-1 file (it stored
+    # G), a key the rebuild lacks, and a change to any derived field
+    cases = [
+        (lambda d: d.update(version=3), "unsupported version 3"),
+        (lambda d: d.update(version=1), "unsupported version 1; re-run construct"),
+        (lambda d: d.update(extra=0), "unexpected field 'extra'"),
+        (lambda d: d.update(s=3), "'s' does not match"),
+        (lambda d: d.update(t=1), "'t' does not match"),
+        (lambda d: d.update(m=4), "'m' does not match"),
+        (lambda d: d.update(n_bar=16), "'n_bar' does not match"),
+        (lambda d: d["subgroup"]["elements"].reverse(), "'subgroup' does not match"),
+        (lambda d: d["subgroup"].update(elements=[1, 5, 8, 11]), "'subgroup' does not match"),
+        (lambda d: d["blocks"][1].__setitem__(0, 4), "'blocks' does not match"),
+        (lambda d: d.update(B=[6, 9]), "'B' does not match"),
+        (lambda d: d.update(gamma=d["gamma"] + 1), "'gamma' does not match"),
+        (lambda d: d.update(g_tilde=[5, 0, 0, 0, 1]), "'g_tilde' does not match"),
+        (lambda d: d.update(h_B=[1, 10, 1]), "'h_B' does not match"),
+        (lambda d: d.pop("h_B"), "'h_B' does not match"),
+        (lambda d: d.update(eval_points=sorted(d["eval_points"], reverse=True)), "'eval_points' does not match"),
+    ]
+    for mutate, message in cases:
         doc = json.loads(code_file.read_text())
         mutate(doc)
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
-        return path
-
-    cases = [
-        lambda d: d.update(version=2),
-        lambda d: d.update(s=3),
-        lambda d: d["subgroup"]["elements"].reverse(),
-        lambda d: d["subgroup"].update(elements=[1, 5, 8, 11]),
-        lambda d: d["blocks"][1].__setitem__(0, 4),
-        lambda d: d.update(B=[6, 9]),
-        lambda d: d.update(h_B=[1, 10, 1]),
-        lambda d: d.update(g_tilde=[5, 0, 0, 0, 1]),
-        lambda d: d.update(eval_points=sorted(d["eval_points"], reverse=True)),
-        lambda d: d["generator_matrix"].pop(),
-    ]
-    for mutate in cases:
         with pytest.raises(LrcError):
-            load_spec_file(corrupted(mutate))
+            load_spec_file(path)
+        assert main(["encode", "--spec", str(path), "0", "0", "0", "0", "1"]) == 2
+        assert message in capsys.readouterr().err, message
 
 
 def test_load_refuses_another_valid_dropped_set(tmp_path, capsys):
     # B = {4, 6} is as valid a choice inside the last block (4, 6, 7, 9) as
-    # construct's {7, 9}; with h_B, eval_points and G made consistent, the
+    # construct's {7, 9}; with h_B and eval_points made consistent, the
     # file still differs from the rebuild and must not load
     spec = build_code(validate_params(13, 10, 5, 3))
     F = spec.field
@@ -154,40 +179,34 @@ def test_load_refuses_another_valid_dropped_set(tmp_path, capsys):
         h_B=tuple(poly_from_roots(F, B)),
         eval_points=eval_points,
     )
-    G = []
-    for row in range(5):
-        f = assemble_polynomial([int(i == row) for i in range(5)], other)
-        G.append(tuple(poly_eval(F, f, x) for x in eval_points))
     path = tmp_path / "other_b.json"
-    write_spec_file(replace(other, G=tuple(G)), path)
+    write_spec_file(other, path)
     assert main(["encode", "--spec", str(path), "0", "0", "0", "0", "1"]) == 2
     assert "'B' does not match" in capsys.readouterr().err
 
 
-def test_row_scaled_generator_round_trips_but_fails_verify(tmp_path, capsys, code_file):
-    # encode and decode both use the stored G, so they agree with each
-    # other; only verify's generator check sees that G left the construction
-    doc = json.loads(code_file.read_text())
-    doc["generator_matrix"][0] = [2 * x % 13 for x in doc["generator_matrix"][0]]
-    bad = tmp_path / "scaled.json"
-    bad.write_text(json.dumps(doc))
-    assert main(["encode", "--spec", str(bad), "1", "0", "0", "0", "0"]) == 0
-    word = capsys.readouterr().out.split()
+def test_row_scaled_generator_round_trips_but_fails_verify():
+    # a code file holds no G, so a foreign G comes only through the library:
+    # encode and decode both use it, so they agree with each other; only
+    # verify's generator check sees that G left the construction
+    spec = build_code(validate_params(13, 10, 5, 3))
+    G = spec.G.copy()
+    G[0] = 2 * G[0] % 13
+    scaled = replace(spec, G=G)
+    word = list(encode([1, 0, 0, 0, 0], scaled))
     for i in (0, 4, 8):
-        word[i] = "?"
-    assert main(["decode", "--spec", str(bad), *word]) == 0
-    assert capsys.readouterr().out.strip() == "1 0 0 0 0"
-    assert main(["verify", "--spec", str(bad)]) == 3
-    report = json.loads(capsys.readouterr().out)
-    assert report["generator_ok"] is False
-    assert report["rank_ok"] is True
-    assert report["all_ok"] is False
+        word[i] = None
+    assert decode_erasures(scaled, word) == [1, 0, 0, 0, 0]
+    report = run_verification(scaled, DEFAULT_BUDGET)
+    assert report.generator_ok is False
+    assert report.rank_ok is True
+    assert report.all_ok is False
 
 
 def test_load_rejects_json_booleans(tmp_path, code_file, capsys):
     # JSON true loads as a bool, which isinstance(..., int) would accept
     for mutate in (
-        lambda d: d["generator_matrix"][0].__setitem__(0, True),
+        lambda d: d["eval_points"].__setitem__(0, True),
         lambda d: d["subgroup"]["elements"].__setitem__(0, True),
         lambda d: d.update(version=True),
     ):
@@ -209,12 +228,16 @@ def test_load_rejects_json_booleans(tmp_path, code_file, capsys):
     ids=["-1", "q", "2**70", "1.0", "'1'", "[1]", "null", "true", "short row", "non-list row"],
 )
 def test_load_refuses_a_bad_generator_row(capsys, tmp_path, code_file, bad_row):
+    # version 2 has no generator_matrix key, so any G in a file is refused,
+    # a good one or a bad one alike
     doc = json.loads(code_file.read_text())
-    doc["generator_matrix"][1] = bad_row(doc["generator_matrix"][1])
+    G = build_code(validate_params(13, 10, 5, 3)).G.tolist()
+    G[1] = bad_row(G[1])
+    doc["generator_matrix"] = G
     path = tmp_path / "bad_g.json"
     path.write_text(json.dumps(doc))
     assert main(["encode", "--spec", str(path), "0", "0", "0", "0", "1"]) == 2
-    assert "generator matrix must be k rows of n field elements" in capsys.readouterr().err
+    assert "unexpected field 'generator_matrix'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("module", ["lrcodes", "lrcodes.cli"])
@@ -306,16 +329,14 @@ def test_verify_command(capsys, code_file):
     )
 
 
-def test_verify_detects_tampering(capsys, tmp_path, code_file):
-    doc = json.loads(code_file.read_text())
-    doc["generator_matrix"][1] = doc["generator_matrix"][0]
-    bad = tmp_path / "tampered.json"
-    bad.write_text(json.dumps(doc))
-    assert main(["verify", "--spec", str(bad)]) == 3
-    report = json.loads(capsys.readouterr().out)
-    assert report["rank_ok"] is False
-    assert report["generator_ok"] is False
-    assert report["all_ok"] is False
+def test_verify_detects_tampering():
+    spec = build_code(validate_params(13, 10, 5, 3))
+    G = spec.G.copy()
+    G[1] = G[0]
+    report = run_verification(replace(spec, G=G), DEFAULT_BUDGET)
+    assert report.rank_ok is False
+    assert report.generator_ok is False
+    assert report.all_ok is False
 
 
 def test_verify_budget_exit(capsys, code_file):
@@ -426,9 +447,3 @@ def test_spec_to_dict_and_write_are_stable(tmp_path):
     write_spec_file(spec, p2)
     assert p1.read_bytes() == p2.read_bytes()
 
-
-def test_spec_to_dict_is_the_derived_fields_then_g():
-    spec = build_code(validate_params(16, 14, 5, 3))
-    doc = spec_to_dict(spec)
-    assert list(doc) == [*_derived_doc(spec), "generator_matrix"]
-    assert doc == {**_derived_doc(spec), "generator_matrix": spec.G.tolist()}

@@ -1,18 +1,23 @@
 """Property tests: every oracle passes on valid codes across the whole
 supported field range, the report's rank agrees with elimination, and
 the decoder recovers d - 1 erasures but not the support of a
-minimum-weight word; the generator and shortening oracles agree with
-the tests' polynomial reference, also on a G with one entry changed."""
+minimum-weight word, and a code file loads back as the code; the
+generator and shortening oracles agree with the tests' polynomial
+reference, also on a G with one entry changed."""
 
 import random
+import tempfile
 from dataclasses import replace
 from math import ceil
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import rank, reference_generator_matches, reference_shortening
 from lrcodes import Unrecoverable, build_code, decode_erasures, encode, validate_params
+from lrcodes.cli import load_spec_file, spec_to_dict, write_spec_file
 from lrcodes.verify import (
     generator_matches,
     minimum_weight_word,
@@ -81,6 +86,13 @@ def test_every_oracle_passes_and_rank_matches_elimination(code, data):
         deficient = run_verification(replace(spec, G=G), BUDGET)
         assert deficient.rank_ok == (rank(F, G) == k)
         assert not deficient.all_ok
+    # a temporary directory, not tmp_path: hypothesis reuses function-scoped fixtures
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "code.json"
+        write_spec_file(spec, path)
+        loaded = load_spec_file(path)
+    assert spec_to_dict(loaded) == spec_to_dict(spec)
+    assert np.array_equal(loaded.G, spec.G)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
