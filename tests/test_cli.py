@@ -447,3 +447,20 @@ def test_spec_to_dict_and_write_are_stable(tmp_path):
     write_spec_file(spec, p2)
     assert p1.read_bytes() == p2.read_bytes()
 
+
+
+def test_spec_to_dict_is_the_derived_fields_then_g(tmp_path):
+    # the document holds (q, n, k, r) and the derived fields, and no G; the G
+    # that follows from it on load is the one build_code makes
+    spec = build_code(validate_params(16, 14, 5, 3))
+    doc = spec_to_dict(spec)
+    assert list(doc) == [
+        "version", "q", "n", "k", "r", "s", "t", "m", "n_bar", "subgroup",
+        "blocks", "B", "gamma", "g_tilde", "h_B", "eval_points",
+    ]
+    assert "generator_matrix" not in doc
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(doc))
+    loaded = load_spec_file(path)
+    assert spec_to_dict(loaded) == doc
+    assert np.array_equal(loaded.G, spec.G)
